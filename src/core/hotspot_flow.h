@@ -29,9 +29,6 @@ struct HotspotFlowOptions : PassOptions {
   Coord scan_stride = 200;          // sliding-scan stride
 };
 
-using HotspotFlowParams [[deprecated("renamed HotspotFlowOptions")]] =
-    HotspotFlowOptions;
-
 struct HotspotClass {
   Region representative;  // geometry of the defining snippet
   HotspotKind kind;

@@ -10,9 +10,9 @@
 // The contract for every dispatch method: the backend may decline a unit
 // (handled[i] stays false) and the flow computes it locally; a unit it
 // does handle must carry exactly the bytes the local computation would
-// produce. Implementations live in src/shard/ (LocalShardBackend for
-// in-process testing, RemoteShardBackend speaking protocol v4 to
-// `dfmkit shard-serve` workers); the flow only sees this interface.
+// produce. The implementation is src/shard/'s RemoteShardBackend, which
+// speaks protocol v4 to shard-serve workers running as processes or as
+// in-process threads; the flow only sees this interface.
 #pragma once
 
 #include "drc/rules.h"

@@ -9,6 +9,29 @@
 #include <cmath>
 
 namespace dfm {
+
+const char* litho_fast_name(LithoFastMode mode) {
+  switch (mode) {
+    case LithoFastMode::kFft:
+      return "fft";
+    case LithoFastMode::kDirect:
+      return "direct";
+    case LithoFastMode::kOff:
+      return "off";
+    case LithoFastMode::kAuto:
+      break;
+  }
+  return "auto";
+}
+
+std::optional<LithoFastMode> parse_litho_fast(std::string_view name) {
+  for (const LithoFastMode m : {LithoFastMode::kAuto, LithoFastMode::kFft,
+                                LithoFastMode::kDirect, LithoFastMode::kOff}) {
+    if (name == litho_fast_name(m)) return m;
+  }
+  return std::nullopt;
+}
+
 namespace {
 
 // Separable convolution with clamp-to-zero borders (dark field). Every

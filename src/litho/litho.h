@@ -14,6 +14,8 @@
 #include "geometry/region.h"
 #include "layout/layer_map.h"
 
+#include <optional>
+#include <string_view>
 #include <vector>
 
 namespace dfm {
@@ -27,6 +29,12 @@ class KernelSpectrumCache;  // litho/fft.h
 /// everything-direct, no-prefilter mode matching the historical
 /// behaviour bit for bit.
 enum class LithoFastMode { kAuto, kFft, kDirect, kOff };
+
+/// The spelling of `mode` on the command line and the wire: "auto",
+/// "fft", "direct" or "off".
+const char* litho_fast_name(LithoFastMode mode);
+/// Inverse of litho_fast_name; nullopt for any other spelling.
+std::optional<LithoFastMode> parse_litho_fast(std::string_view name);
 
 /// Sampled scalar field over a window (row-major, origin at window.lo).
 struct Raster {
@@ -63,12 +71,6 @@ struct OpticalModel {
   /// Unrounded — kernel taps built from this value track defocus
   /// smoothly instead of quantizing to integer-nm sigma steps.
   double sigma_at_nm(Coord defocus) const;
-
-  /// Deprecated: rounds the effective sigma to integer nm, which
-  /// quantizes the defocus response (Bossung curves develop flat
-  /// steps). Kept as a shim; use sigma_at_nm.
-  [[deprecated("use sigma_at_nm; rounding quantizes the defocus response")]]
-  Coord sigma_at(Coord defocus) const;
 };
 
 struct ProcessCondition {

@@ -57,6 +57,8 @@ ServiceClient::ServiceClient(int fd) : fd_(fd) {
   }
 }
 
+ServiceClient ServiceClient::adopt(int fd) { return ServiceClient(fd); }
+
 ServiceClient ServiceClient::connect_unix(const std::string& path) {
   sockaddr_un addr{};
   addr.sun_family = AF_UNIX;

@@ -32,6 +32,10 @@ class ServiceClient {
   ServiceClient() = default;
   static ServiceClient connect_unix(const std::string& path);
   static ServiceClient connect_tcp(int port);
+  /// Takes ownership of an already-connected stream socket (e.g. one
+  /// end of a socketpair) and reads the server's hello from it. Closes
+  /// `fd` and throws if the handshake fails.
+  static ServiceClient adopt(int fd);
 
   ServiceClient(ServiceClient&& other) noexcept;
   ServiceClient& operator=(ServiceClient&& other) noexcept;

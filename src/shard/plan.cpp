@@ -83,4 +83,30 @@ ShardPlan ShardPlan::make(const Rect& bbox, int shards, Coord halo) {
   return plan;
 }
 
+int route_litho_tile(const ShardPlan& plan, const Rect& tile_core,
+                     Coord sigma) {
+  const Rect needed = tile_core.expanded(6 * sigma);
+  const int own = plan.owner(tile_core.center());
+  if (own >= 0 &&
+      plan.windows[static_cast<std::size_t>(own)].contains(needed)) {
+    return own;
+  }
+  // Center-routing can miss only when the plan's halo is undersized for
+  // this tile grid (e.g. a changed litho_tile); any covering window is
+  // equally correct, so take the first.
+  for (std::size_t i = 0; i < plan.windows.size(); ++i) {
+    if (plan.windows[i].contains(needed)) return static_cast<int>(i);
+  }
+  return -1;
+}
+
+int route_pattern_site(const ShardPlan& plan, const AnchorWindow& site) {
+  const int own = plan.owner(site.anchor);
+  if (own < 0) return -1;
+  if (!plan.windows[static_cast<std::size_t>(own)].contains(site.window)) {
+    return -1;
+  }
+  return own;
+}
+
 }  // namespace dfm::shard

@@ -22,6 +22,7 @@
 
 #include "geometry/rect.h"
 #include "layout/tech.h"
+#include "pattern/capture.h"
 
 #include <cstddef>
 #include <vector>
@@ -54,5 +55,14 @@ struct ShardPlan {
   /// to the leading rows/columns. `shards` is clamped to >= 1.
   static ShardPlan make(const Rect& bbox, int shards, Coord halo);
 };
+
+/// The shard that owns a litho tile — the one whose core holds the tile
+/// center, provided its window covers the 6-sigma simulation window —
+/// or -1 when none qualifies.
+int route_litho_tile(const ShardPlan& plan, const Rect& tile_core,
+                     Coord sigma);
+/// The shard that owns a pattern site — core holds the anchor, window
+/// covers the capture window — or -1.
+int route_pattern_site(const ShardPlan& plan, const AnchorWindow& site);
 
 }  // namespace dfm::shard

@@ -3,18 +3,21 @@
 #include "core/delta.h"
 #include "core/stream_source.h"
 #include "core/telemetry.h"
-#include "shard/local_backend.h"
+#include "shard/shard_server.h"
 #include "shard/wire.h"
 
 #include <fcntl.h>
+#include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <cerrno>
+#include <csignal>
 #include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <map>
+#include <optional>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -24,35 +27,32 @@ namespace {
 
 using service::Json;
 
-const char* fast_to_string(LithoFastMode m) {
-  switch (m) {
-    case LithoFastMode::kAuto:
-      return "auto";
-    case LithoFastMode::kFft:
-      return "fft";
-    case LithoFastMode::kDirect:
-      return "direct";
-    case LithoFastMode::kOff:
-      return "off";
-  }
-  return "auto";
-}
-
-Json open_request(const RemoteShardConfig& config, const Rect& core,
+/// shard_open for `core`/`window`, minus the geometry source (the
+/// caller adds a "path" or inline "layers").
+Json open_request(const ShardWorkerConfig& worker, const Rect& core,
                   const Rect& window) {
   Json::Object req;
   req["op"] = Json("shard_open");
-  req["path"] = Json(config.layout_path);
   req["core"] = rect_to_json(core);
   req["window"] = rect_to_json(window);
-  req["tech"] = tech_to_json(config.worker.tech);
-  req["model"] = model_to_json(config.worker.model);
-  req["litho_tile"] = Json(static_cast<std::int64_t>(config.worker.litho_tile));
+  req["tech"] = tech_to_json(worker.tech);
+  req["model"] = model_to_json(worker.model);
+  req["litho_tile"] = Json(static_cast<std::int64_t>(worker.litho_tile));
   req["litho_edge_tolerance"] =
-      Json(static_cast<std::int64_t>(config.worker.litho_edge_tolerance));
-  req["litho_fast"] = Json(fast_to_string(config.worker.litho_fast));
-  req["threads"] = Json(static_cast<std::int64_t>(config.worker.threads));
+      Json(static_cast<std::int64_t>(worker.litho_edge_tolerance));
+  req["litho_fast"] = Json(litho_fast_name(worker.litho_fast));
+  req["threads"] = Json(static_cast<std::int64_t>(worker.threads));
   return Json(std::move(req));
+}
+
+/// reply[key]: an array with one entry per unit the call sent.
+const Json::Array& per_unit(const Json& reply, const char* key,
+                            std::size_t units) {
+  const Json* f = reply.find(key);
+  if (f == nullptr || f->as_array().size() != units) {
+    throw service::JsonError(std::string(key) + ": wrong arity");
+  }
+  return f->as_array();
 }
 
 }  // namespace
@@ -105,11 +105,15 @@ service::ServiceClient connect_shard_worker(const std::string& path,
     } catch (const service::ProtocolError&) {
       // Socket not bound yet (or worker died). Distinguish the two.
     }
-    int status = 0;
-    if (pid > 0 && ::waitpid(pid, &status, WNOHANG) == pid) {
+    // WNOWAIT: leave the exited child to the caller's reaping.
+    siginfo_t info{};
+    if (pid > 0 &&
+        ::waitid(P_PID, static_cast<id_t>(pid), &info,
+                 WEXITED | WNOHANG | WNOWAIT) == 0 &&
+        info.si_pid == pid) {
       throw std::runtime_error("shard: worker for " + path +
                                " exited before accepting (status " +
-                               std::to_string(status) + ")");
+                               std::to_string(info.si_status) + ")");
     }
     if (std::chrono::steady_clock::now() >= deadline) {
       throw std::runtime_error("shard: timed out waiting for worker socket " +
@@ -177,17 +181,63 @@ RemoteShardBackend::RemoteShardBackend(const Rect& extent,
       procs_.push_back(p);
     }
     for (std::size_t s = 0; s < plan_.size(); ++s) {
-      service::ServiceClient c = connect_shard_worker(
-          procs_[s].socket_path, procs_[s].pid, config_.spawn_timeout_s);
-      const Json& hello = c.hello();
-      if (hello.get_string("server", "") != "dfmkit-shard" ||
-          hello.get_int("protocol", 0) != service::kProtocolVersion) {
-        throw std::runtime_error("shard: worker " + procs_[s].socket_path +
-                                 " spoke the wrong protocol");
+      Json open = open_request(config_.worker, plan_.cores[s],
+                               plan_.windows[s]);
+      open.set("path", Json(config_.layout_path));
+      attach(connect_shard_worker(procs_[s].socket_path, procs_[s].pid,
+                                  config_.spawn_timeout_s),
+             std::move(open));
+    }
+  } catch (...) {
+    shutdown_workers();
+    throw;
+  }
+}
+
+RemoteShardBackend::RemoteShardBackend(const LayerMap& layers, int shards,
+                                       const ShardWorkerConfig& config) {
+  config_.worker = config;
+  config_.shards = shards;
+  Rect bbox = Rect::empty();
+  for (const auto& [k, r] : layers) bbox = bbox.join(r.bbox());
+  plan_ = ShardPlan::make(bbox, shards,
+                          shard_halo(config.tech, config.litho_tile,
+                                     config.model.sigma));
+  try {
+    for (std::size_t s = 0; s < plan_.size(); ++s) {
+      int fds[2];
+      if (::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, fds) != 0) {
+        throw std::runtime_error(std::string("shard: socketpair: ") +
+                                 std::strerror(errno));
       }
-      c.set_max_frame_bytes(kShardMaxFrameBytes);
-      c.call_ok(open_request(config_, plan_.cores[s], plan_.windows[s]));
-      clients_.push_back(std::move(c));
+      try {
+        threads_.emplace_back([fd = fds[1]] {
+          std::optional<ShardWorkerSession> session;
+          try {
+            serve_connection(fd, ShardServeOptions{}, session);
+          } catch (...) {
+            // Closing the socket below fails the coordinator's pending
+            // call, which degrades the backend: the failure surfaces
+            // there, as a dead worker process's would.
+          }
+          ::close(fd);
+        });
+      } catch (...) {
+        ::close(fds[0]);
+        ::close(fds[1]);
+        throw;
+      }
+      service::ServiceClient client = service::ServiceClient::adopt(fds[0]);
+      Json open = open_request(config, plan_.cores[s], plan_.windows[s]);
+      Json::Array jlayers;
+      for (const auto& [k, r] : layers) {
+        Json::Object e;
+        e["layer"] = layer_to_json(k);
+        e["region"] = region_to_json(r.clipped(plan_.windows[s]));
+        jlayers.push_back(Json(std::move(e)));
+      }
+      open.set("layers", Json(std::move(jlayers)));
+      attach(std::move(client), std::move(open));
     }
   } catch (...) {
     shutdown_workers();
@@ -197,39 +247,47 @@ RemoteShardBackend::RemoteShardBackend(const Rect& extent,
 
 RemoteShardBackend::~RemoteShardBackend() { shutdown_workers(); }
 
+void RemoteShardBackend::attach(service::ServiceClient client, Json open) {
+  if (client.hello().get_string("server", "") != "dfmkit-shard") {
+    throw std::runtime_error("shard: worker " +
+                             std::to_string(clients_.size()) +
+                             " is not a dfmkit shard worker");
+  }
+  client.set_max_frame_bytes(kShardMaxFrameBytes);
+  client.call_ok(std::move(open));
+  clients_.push_back(std::move(client));
+}
+
 void RemoteShardBackend::shutdown_workers() noexcept {
   for (service::ServiceClient& c : clients_) {
-    if (!c.connected()) continue;
     try {
       Json::Object req;
       req["op"] = Json("shutdown");
       c.call(Json(std::move(req)));
     } catch (...) {
     }
-    c.close();
+    c.close();  // EOF ends a worker that missed the shutdown op
+  }
+  // A process that never got its connection (the constructor failed
+  // first) would wait in accept() forever.
+  for (std::size_t s = clients_.size(); s < procs_.size(); ++s) {
+    ::kill(procs_[s].pid, SIGKILL);
   }
   clients_.clear();
-  for (const ShardProcess& p : procs_) {
-    if (p.pid > 0) ::waitpid(p.pid, nullptr, 0);
-  }
+  for (const ShardProcess& p : procs_) ::waitpid(p.pid, nullptr, 0);
   procs_.clear();
+  for (std::thread& t : threads_) t.join();
+  threads_.clear();
 }
 
-Json RemoteShardBackend::call(std::size_t w, Json req) {
-  return clients_[w].call_ok(std::move(req));
-}
-
-std::vector<Json> RemoteShardBackend::call_many(
-    const std::vector<std::size_t>& targets,
-    const std::vector<Json>& requests) {
-  std::vector<Json> responses(targets.size());
-  std::vector<char> failed(targets.size(), 0);
+bool RemoteShardBackend::call_many(std::vector<Call>& calls) {
+  std::vector<char> failed(calls.size(), 0);
   std::vector<std::thread> threads;
-  threads.reserve(targets.size());
-  for (std::size_t i = 0; i < targets.size(); ++i) {
-    threads.emplace_back([this, i, &targets, &requests, &responses, &failed] {
+  threads.reserve(calls.size());
+  for (std::size_t i = 0; i < calls.size(); ++i) {
+    threads.emplace_back([this, i, &calls, &failed] {
       try {
-        responses[i] = call(targets[i], requests[i]);
+        calls[i].reply = clients_[calls[i].worker].call_ok(calls[i].request);
       } catch (...) {
         failed[i] = 1;
       }
@@ -242,38 +300,53 @@ std::vector<Json> RemoteShardBackend::call_many(
       // good (workers may now disagree with the coordinator) and let
       // the flow compute everything locally.
       degraded_ = true;
-      return {};
+      return false;
     }
   }
-  return responses;
+  return true;
+}
+
+std::vector<RemoteShardBackend::Call> RemoteShardBackend::batch_calls(
+    const Json& request, const char* field, std::size_t n,
+    const std::function<int(std::size_t)>& route,
+    const std::function<Json(std::size_t)>& encode) const {
+  std::map<int, std::vector<std::size_t>> per_worker;
+  for (std::size_t i = 0; i < n; ++i) {
+    const int w = route(i);
+    if (w >= 0) per_worker[w].push_back(i);
+  }
+  std::vector<Call> calls;
+  for (auto& [w, idx] : per_worker) {
+    Json::Array units;
+    units.reserve(idx.size());
+    for (const std::size_t i : idx) units.push_back(encode(i));
+    Call c{static_cast<std::size_t>(w), request, Json(), std::move(idx)};
+    c.request.set(field, Json(std::move(units)));
+    calls.push_back(std::move(c));
+  }
+  return calls;
 }
 
 bool RemoteShardBackend::shard_drc(const std::vector<Rule>& rules,
                                    std::vector<Region>* bad2x,
                                    std::vector<char>* handled) {
   if (degraded_) return false;
-  TELEM_SPAN("shard/drc_remote");
   Json::Array jrules;
   jrules.reserve(rules.size());
   for (const Rule& r : rules) jrules.push_back(rule_to_json(r));
-  std::vector<std::size_t> targets;
-  std::vector<Json> requests;
-  for (std::size_t s = 0; s < plan_.size(); ++s) {
-    Json::Object req;
-    req["op"] = Json("shard_drc");
-    req["rules"] = Json(jrules);
-    targets.push_back(s);
-    requests.push_back(Json(std::move(req)));
+  Json::Object req;
+  req["op"] = Json("shard_drc");
+  req["rules"] = Json(std::move(jrules));
+  std::vector<Call> calls(plan_.size());
+  for (std::size_t s = 0; s < calls.size(); ++s) {
+    calls[s].worker = s;
+    calls[s].request = Json(req);
   }
-  const std::vector<Json> responses = call_many(targets, requests);
-  if (responses.empty()) return false;
+  if (!call_many(calls)) return false;
   std::vector<Region> stitched(rules.size());
   try {
-    for (const Json& resp : responses) {
-      const Json::Array& per_rule = resp.find("bad2x")->as_array();
-      if (per_rule.size() != rules.size()) {
-        throw service::JsonError("bad2x: wrong arity");
-      }
+    for (const Call& c : calls) {
+      const Json::Array& per_rule = per_unit(c.reply, "bad2x", rules.size());
       for (std::size_t i = 0; i < rules.size(); ++i) {
         // Named: rects() references the Region's storage, and a
         // temporary would die before the loop body ran.
@@ -299,56 +372,34 @@ bool RemoteShardBackend::shard_match(
     std::vector<std::vector<PatternMatch>>* out,
     std::vector<char>* handled) {
   if (degraded_) return false;
-  TELEM_SPAN_ARG("shard/match_remote", set_index);
-  std::map<int, std::vector<std::size_t>> per_worker;
-  for (std::size_t i = 0; i < sites.size(); ++i) {
-    const int w = route_pattern_site(plan_, sites[i]);
-    if (w >= 0) per_worker[w].push_back(i);
-  }
-  std::vector<std::size_t> targets;
-  std::vector<Json> requests;
-  std::vector<const std::vector<std::size_t>*> batches;
-  for (const auto& [w, idx] : per_worker) {
-    Json::Array jsites;
-    jsites.reserve(idx.size());
-    for (const std::size_t i : idx) jsites.push_back(site_to_json(sites[i]));
-    Json::Object req;
-    req["op"] = Json("shard_match");
-    req["set"] = Json(static_cast<std::int64_t>(set_index));
-    req["sites"] = Json(std::move(jsites));
-    targets.push_back(static_cast<std::size_t>(w));
-    requests.push_back(Json(std::move(req)));
-    batches.push_back(&idx);
-  }
-  const std::vector<Json> responses = call_many(targets, requests);
-  if (responses.empty() && !targets.empty()) return false;
+  Json::Object req;
+  req["op"] = Json("shard_match");
+  req["set"] = Json(static_cast<std::int64_t>(set_index));
+  std::vector<Call> calls = batch_calls(
+      Json(std::move(req)), "sites", sites.size(),
+      [&](std::size_t i) { return route_pattern_site(plan_, sites[i]); },
+      [&](std::size_t i) { return site_to_json(sites[i]); });
+  if (!call_many(calls)) return false;
   std::vector<std::vector<PatternMatch>> got(sites.size());
-  std::vector<char> ok(sites.size(), 0);
   try {
-    for (std::size_t b = 0; b < responses.size(); ++b) {
-      const Json::Array& per_site = responses[b].find("matches")->as_array();
-      const std::vector<std::size_t>& idx = *batches[b];
-      if (per_site.size() != idx.size()) {
-        throw service::JsonError("matches: wrong arity");
-      }
-      for (std::size_t j = 0; j < idx.size(); ++j) {
-        std::vector<PatternMatch> ms;
-        ms.reserve(per_site[j].as_array().size());
+    for (const Call& c : calls) {
+      const Json::Array& per_site =
+          per_unit(c.reply, "matches", c.units.size());
+      for (std::size_t j = 0; j < c.units.size(); ++j) {
         for (const Json& jm : per_site[j].as_array()) {
-          ms.push_back(match_from_json(jm));
+          got[c.units[j]].push_back(match_from_json(jm));
         }
-        got[idx[j]] = std::move(ms);
-        ok[idx[j]] = 1;
       }
     }
   } catch (const std::exception&) {
     degraded_ = true;
     return false;
   }
-  for (std::size_t i = 0; i < sites.size(); ++i) {
-    if (ok[i] == 0) continue;
-    (*out)[i] = std::move(got[i]);
-    (*handled)[i] = 1;
+  for (const Call& c : calls) {
+    for (const std::size_t i : c.units) {
+      (*out)[i] = std::move(got[i]);
+      (*handled)[i] = 1;
+    }
   }
   return true;
 }
@@ -358,65 +409,44 @@ bool RemoteShardBackend::shard_litho(const std::vector<Rect>& cores,
                                      std::vector<char>* skipped,
                                      std::vector<char>* handled) {
   if (degraded_) return false;
-  TELEM_SPAN("shard/litho_remote");
-  std::map<int, std::vector<std::size_t>> per_worker;
-  for (std::size_t i = 0; i < cores.size(); ++i) {
-    const int w = route_litho_tile(plan_, cores[i], config_.worker.model.sigma);
-    if (w >= 0) per_worker[w].push_back(i);
-  }
-  std::vector<std::size_t> targets;
-  std::vector<Json> requests;
-  std::vector<const std::vector<std::size_t>*> batches;
-  for (const auto& [w, idx] : per_worker) {
-    Json::Array jcores;
-    jcores.reserve(idx.size());
-    for (const std::size_t i : idx) jcores.push_back(rect_to_json(cores[i]));
-    Json::Object req;
-    req["op"] = Json("shard_litho");
-    req["cores"] = Json(std::move(jcores));
-    targets.push_back(static_cast<std::size_t>(w));
-    requests.push_back(Json(std::move(req)));
-    batches.push_back(&idx);
-  }
-  const std::vector<Json> responses = call_many(targets, requests);
-  if (responses.empty() && !targets.empty()) return false;
+  Json::Object req;
+  req["op"] = Json("shard_litho");
+  std::vector<Call> calls = batch_calls(
+      Json(std::move(req)), "cores", cores.size(),
+      [&](std::size_t i) {
+        return route_litho_tile(plan_, cores[i], config_.worker.model.sigma);
+      },
+      [&](std::size_t i) { return rect_to_json(cores[i]); });
+  if (!call_many(calls)) return false;
   std::vector<std::vector<Hotspot>> got(cores.size());
   std::vector<char> skip(cores.size(), 0);
-  std::vector<char> ok(cores.size(), 0);
   try {
-    for (std::size_t b = 0; b < responses.size(); ++b) {
-      const Json::Array& hs = responses[b].find("hotspots")->as_array();
-      const Json::Array& sk = responses[b].find("skipped")->as_array();
-      const std::vector<std::size_t>& idx = *batches[b];
-      if (hs.size() != idx.size() || sk.size() != idx.size()) {
-        throw service::JsonError("hotspots: wrong arity");
-      }
-      for (std::size_t j = 0; j < idx.size(); ++j) {
-        std::vector<Hotspot> per;
-        per.reserve(hs[j].as_array().size());
+    for (const Call& c : calls) {
+      const Json::Array& hs = per_unit(c.reply, "hotspots", c.units.size());
+      const Json::Array& sk = per_unit(c.reply, "skipped", c.units.size());
+      for (std::size_t j = 0; j < c.units.size(); ++j) {
         for (const Json& jh : hs[j].as_array()) {
-          per.push_back(hotspot_from_json(jh));
+          got[c.units[j]].push_back(hotspot_from_json(jh));
         }
-        got[idx[j]] = std::move(per);
-        skip[idx[j]] = sk[j].as_int() != 0 ? 1 : 0;
-        ok[idx[j]] = 1;
+        skip[c.units[j]] = sk[j].as_int() != 0 ? 1 : 0;
       }
     }
   } catch (const std::exception&) {
     degraded_ = true;
     return false;
   }
-  for (std::size_t i = 0; i < cores.size(); ++i) {
-    if (ok[i] == 0) continue;
-    (*per_core)[i] = std::move(got[i]);
-    (*skipped)[i] = skip[i];
-    (*handled)[i] = 1;
+  for (const Call& c : calls) {
+    for (const std::size_t i : c.units) {
+      (*per_core)[i] = std::move(got[i]);
+      (*skipped)[i] = skip[i];
+      (*handled)[i] = 1;
+    }
   }
   return true;
 }
 
 void RemoteShardBackend::shard_apply(const LayoutDelta& delta) {
-  TELEM_SPAN("shard/apply_remote");
+  TELEM_SPAN("shard/apply");
   Rect added = Rect::empty();
   Rect touched = Rect::empty();
   for (const auto& [k, ld] : delta.layers()) {
@@ -426,23 +456,19 @@ void RemoteShardBackend::shard_apply(const LayoutDelta& delta) {
     }
     if (!ld.removed.empty()) touched = touched.join(ld.removed.bbox());
   }
-  // Same rule as LocalShardBackend::shard_apply: growth past the plan
-  // extent leaves geometry no core owns, so stop accelerating.
+  // Growth past the plan extent leaves geometry no core owns; stop
+  // accelerating (the flow recomputes locally, byte-identically).
   if (!added.is_empty() && !plan_.extent.contains(added)) degraded_ = true;
   if (degraded_) return;
-  const Json jdelta = delta_to_json(delta);
-  std::vector<std::size_t> targets;
-  std::vector<Json> requests;
+  Json::Object req;
+  req["op"] = Json("shard_edit");
+  req["delta"] = delta_to_json(delta);
+  std::vector<Call> calls;
   for (std::size_t s = 0; s < plan_.size(); ++s) {
     if (!touched.is_empty() && !plan_.windows[s].overlaps(touched)) continue;
-    Json::Object req;
-    req["op"] = Json("shard_edit");
-    req["delta"] = jdelta;
-    targets.push_back(s);
-    requests.push_back(Json(std::move(req)));
+    calls.push_back(Call{s, Json(req), Json(), {}});
   }
-  if (targets.empty()) return;
-  if (call_many(targets, requests).empty()) degraded_ = true;
+  call_many(calls);
 }
 
 }  // namespace dfm::shard

@@ -1,10 +1,11 @@
-// Multi-process ShardBackend: N `dfmkit shard-serve` worker processes,
-// one per spatial shard, driven over the protocol-v4 framed channel.
-// Routing and stitching are byte-for-byte the same logic as
-// LocalShardBackend (the route_* helpers are shared); this layer adds
-// process lifecycle (fork+exec, readiness wait, shutdown+reap) and
-// exact Json serialization, nothing semantic — so local invariance
-// tests carry over to the distributed deployment.
+// The ShardBackend: N shard workers, one per spatial shard, each driven
+// over the protocol-v4 framed channel by a ServiceClient. A worker runs
+// the shard-serve loop (serve_connection) either as a forked
+// `dfmkit shard-serve` process on a Unix socket, or as a thread of this
+// process on one end of a socketpair. Only how a worker starts differs:
+// routing, Json encoding, framing, dispatch, decoding and stitching are
+// one code path, so tests over in-process workers exercise exactly what
+// `dfmkit flow/serve --shards` runs.
 #pragma once
 
 #include "core/shard_backend.h"
@@ -14,7 +15,9 @@
 
 #include <sys/types.h>
 
+#include <functional>
 #include <string>
+#include <thread>
 #include <vector>
 
 namespace dfm::shard {
@@ -53,6 +56,12 @@ class RemoteShardBackend : public ShardBackend {
   /// connect, handshake, or open failure — workers already started are
   /// reaped before the throw.
   RemoteShardBackend(const Rect& extent, RemoteShardConfig config);
+  /// In-process workers over already-flattened layers: partitions their
+  /// joint bbox into `shards` cores and starts one worker thread per
+  /// core, whose shard_open carries the window-clipped layers inline.
+  /// Throws like the process constructor.
+  RemoteShardBackend(const LayerMap& layers, int shards,
+                     const ShardWorkerConfig& config);
   ~RemoteShardBackend() override;
 
   const ShardPlan& plan() const { return plan_; }
@@ -60,6 +69,8 @@ class RemoteShardBackend : public ShardBackend {
   /// mid-batch; every dispatch then declines and the flow computes
   /// locally (byte-identical — the shards just stop accelerating).
   bool degraded() const { return degraded_; }
+  /// The worker processes, in shard order; empty for in-process workers.
+  const std::vector<ShardProcess>& processes() const { return procs_; }
 
   std::size_t shard_count() const override { return clients_.size(); }
   bool is_degraded() const override { return degraded_; }
@@ -77,20 +88,33 @@ class RemoteShardBackend : public ShardBackend {
   void shard_apply(const LayoutDelta& delta) override;
 
  private:
-  /// call_ok on worker `w` with trace context attached by the client.
-  service::Json call(std::size_t w, service::Json req);
-  /// Runs `req_for(w)` against every worker in `targets` concurrently
-  /// (one thread per worker; each ServiceClient is single-owner).
-  /// Returns one response per target, or empty on any failure (which
-  /// also degrades the backend).
-  std::vector<service::Json> call_many(
-      const std::vector<std::size_t>& targets,
-      const std::vector<service::Json>& requests);
+  /// Checks the hello of a fresh worker connection, shard_open's it
+  /// with `open`, and adds it as the next worker.
+  void attach(service::ServiceClient client, service::Json open);
+  /// One request to one worker and, after call_many, its reply.
+  struct Call {
+    std::size_t worker = 0;
+    service::Json request;
+    service::Json reply;
+    std::vector<std::size_t> units;  // batch_calls: the units sent
+  };
+  /// Runs every call concurrently (one thread per call; a worker appears
+  /// at most once, since each ServiceClient is single-owner). Returns
+  /// false, and degrades the backend, if any call failed.
+  bool call_many(std::vector<Call>& calls);
+  /// Routes unit i of n to worker route(i) (-1 declines it) and makes
+  /// one call per worker that got units: `request` plus, under `field`,
+  /// encode(i) for each of them.
+  std::vector<Call> batch_calls(
+      const service::Json& request, const char* field, std::size_t n,
+      const std::function<int(std::size_t)>& route,
+      const std::function<service::Json(std::size_t)>& encode) const;
   void shutdown_workers() noexcept;
 
   RemoteShardConfig config_;
   ShardPlan plan_;
   std::vector<ShardProcess> procs_;
+  std::vector<std::thread> threads_;  // in-process workers
   std::vector<service::ServiceClient> clients_;
   bool degraded_ = false;
 };

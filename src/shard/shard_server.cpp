@@ -34,15 +34,6 @@ using service::read_frame;
 using service::write_frame;
 namespace errc = service::errc;
 
-LithoFastMode fast_from_string(const std::string& s) {
-  if (s == "auto") return LithoFastMode::kAuto;
-  if (s == "fft") return LithoFastMode::kFft;
-  if (s == "direct") return LithoFastMode::kDirect;
-  if (s == "off") return LithoFastMode::kOff;
-  throw JsonError("litho_fast: expected auto|fft|direct|off, got \"" + s +
-                  "\"");
-}
-
 Json hello_payload() {
   Json::Object out;
   out["op"] = Json("hello");
@@ -69,7 +60,13 @@ Json do_open(const Json& req, unsigned default_threads,
       static_cast<Coord>(req.get_int("litho_tile", config.litho_tile));
   config.litho_edge_tolerance = static_cast<Coord>(
       req.get_int("litho_edge_tolerance", config.litho_edge_tolerance));
-  config.litho_fast = fast_from_string(req.get_string("litho_fast", "auto"));
+  const std::string fast = req.get_string("litho_fast", "auto");
+  const std::optional<LithoFastMode> mode = parse_litho_fast(fast);
+  if (!mode) {
+    throw JsonError("litho_fast: expected auto|fft|direct|off, got \"" +
+                    fast + "\"");
+  }
+  config.litho_fast = *mode;
   config.threads = static_cast<unsigned>(
       req.get_int("threads", static_cast<std::int64_t>(default_threads)));
   const Rect core = rect_from_json(require(req, "core"));
@@ -83,7 +80,7 @@ Json do_open(const Json& req, unsigned default_threads,
     // the full layout resident anywhere.
     session.emplace(config, core, window, *open_stream_source(path));
   } else {
-    // Inline geometry (tests, tiny layouts): layers ride in the frame.
+    // Inline geometry (in-process workers): layers ride in the frame.
     LayerMap layers;
     if (const Json* jl = req.find("layers"); jl != nullptr) {
       for (const Json& e : jl->as_array()) {
@@ -186,8 +183,8 @@ Json dispatch(const Json& req, const ShardServeOptions& options,
   return make_error(id, errc::kUnknownOp, "unknown op \"" + op + "\"");
 }
 
-/// Serves one coordinator connection to completion. Returns true when a
-/// shutdown op asked the whole worker to exit.
+}  // namespace
+
 bool serve_connection(int fd, const ShardServeOptions& options,
                       std::optional<ShardWorkerSession>& session) {
   try {
@@ -257,8 +254,6 @@ bool serve_connection(int fd, const ShardServeOptions& options,
   }
   return shutdown;
 }
-
-}  // namespace
 
 int run_shard_server(const ShardServeOptions& options) {
   if (options.unix_path.empty()) {

@@ -6,10 +6,9 @@
 // producing exactly the bytes the coordinator's in-process engines
 // would (see core/shard_backend.h for the contract).
 //
-// The same class backs both deployment shapes: LocalShardBackend holds
-// N of these in-process (deterministic, TSan-friendly tests), and the
-// `dfmkit shard-serve` worker wraps one behind the protocol-v4 framed
-// ops (src/shard/shard_server.h).
+// Every worker wraps one behind the protocol-v4 framed ops of the
+// shard-serve loop (src/shard/shard_server.h), whether that loop runs in
+// a `dfmkit shard-serve` process or on an in-process thread.
 //
 // Workers are pure compute: no FlowCaches, no staleness tracking. The
 // coordinator owns all caching and decides which units are stale; a
@@ -35,9 +34,9 @@ class SnapshotSource;
 namespace dfm::shard {
 
 /// Everything a worker needs to reproduce the coordinator's engines,
-/// serialized over shard_open for the remote shape. All fields are pure
-/// inputs of deterministic constructions (rule deck, matchers, litho
-/// calibration), so coordinator and worker agree byte for byte.
+/// serialized over shard_open. All fields are pure inputs of
+/// deterministic constructions (rule deck, matchers, litho calibration),
+/// so coordinator and worker agree byte for byte.
 struct ShardWorkerConfig {
   Tech tech;
   OpticalModel model;

@@ -2,9 +2,11 @@
 // normalize/inverse delta round-trips, and the score-gated loop's
 // contract — accepted fixes strictly raise the composite, rejected ones
 // roll back bit for bit, and the post-fix report equals a cold re-run
-// over the fixed layout at every thread count.
+// over the fixed layout at every thread count; plus the via-pad and
+// pinch repair primitives the pattern moves are built from.
 #include "core/fix_engine.h"
 
+#include "drc/engine.h"
 #include "gen/generators.h"
 
 #include <gtest/gtest.h>
@@ -234,6 +236,108 @@ TEST(FixLoop, MaxItersZeroStillRunsOneRound) {
   fo.max_iters = 0;
   const FixOutcome out = FixEngine::fix(session, fo);
   EXPECT_LE(out.iterations, 1);
+}
+
+// ---------------------------------------------------------------------------
+// The geometric repair primitives behind kPatternVia / kPatternPinch.
+
+LayerMap via_layers_of(const Cell& c) {
+  LayerMap m;
+  for (const LayerKey k : {layers::kMetal1, layers::kMetal2, layers::kVia1}) {
+    m.emplace(k, c.local_region(k));
+  }
+  return m;
+}
+
+std::size_t borderless_matches(const DrcPlusDeck& deck,
+                               const DrcPlusResult& res,
+                               std::vector<Point>* anchors = nullptr) {
+  std::size_t n = 0;
+  for (std::size_t si = 0; si < deck.pattern_sets.size(); ++si) {
+    for (const PatternMatch& m : res.matches[si]) {
+      if (deck.pattern_sets[si].rules[m.rule_index].name !=
+          "DFM.VIA.BORDERLESS") {
+        continue;
+      }
+      ++n;
+      if (anchors != nullptr) anchors->push_back(m.anchor);
+    }
+  }
+  return n;
+}
+
+TEST(FixPrimitives, BorderlessViaGrowsFullEnclosurePads) {
+  const Tech& t = Tech::standard();
+  Cell c{"c"};
+  add_via(c, t, {0, 0}, ViaStyle::kBorderless);  // bare via: exact match
+  LayerMap layers = via_layers_of(c);
+  const DrcPlusDeck deck = DrcPlusDeck::standard(t);
+  const DrcPlusEngine engine{deck};
+  std::vector<Point> anchors;
+  ASSERT_GE(borderless_matches(deck, engine.run(LayoutSnapshot(layers)),
+                               &anchors),
+            1u);
+
+  Region a1;
+  Region a2;
+  ASSERT_TRUE(fix_detail::borderless_via_additions(
+      layers.at(layers::kVia1), layers.at(layers::kMetal1),
+      layers.at(layers::kMetal2), anchors.front(), t, a1, a2));
+  EXPECT_FALSE(a1.empty());
+  layers.at(layers::kMetal1).add(a1);
+  layers.at(layers::kMetal2).add(a2);
+
+  // Both pads now give the via full enclosure, and the matcher no
+  // longer fires on it.
+  const Region& via = layers.at(layers::kVia1);
+  EXPECT_TRUE(
+      (via.bloated(t.via_enclosure) - layers.at(layers::kMetal1)).empty());
+  EXPECT_TRUE(
+      (via.bloated(t.via_enclosure) - layers.at(layers::kMetal2)).empty());
+  EXPECT_EQ(borderless_matches(deck, engine.run(LayoutSnapshot(layers))), 0u);
+}
+
+TEST(FixPrimitives, BorderlessViaRefusedWhenPadBreaksSpacing) {
+  const Tech& t = Tech::standard();
+  Cell c{"c"};
+  add_via(c, t, {0, 0}, ViaStyle::kBorderless);
+  // A hostile neighbour too close to where the M1 pad must grow.
+  const Coord pad_edge = t.via_size / 2 + t.via_enclosure;
+  c.add(layers::kMetal1,
+        Rect{pad_edge + t.m1_space - 5, -100, pad_edge + t.m1_space + 95, 100});
+  const LayerMap layers = via_layers_of(c);
+
+  Region a1;
+  Region a2;
+  EXPECT_FALSE(fix_detail::borderless_via_additions(
+      layers.at(layers::kVia1), layers.at(layers::kMetal1),
+      layers.at(layers::kMetal2), Point{0, 0}, t, a1, a2));
+  // Refused as a whole: no M1 material, and no M2 pad on its own.
+  EXPECT_TRUE(a1.empty());
+  EXPECT_TRUE(a2.empty());
+}
+
+TEST(FixPrimitives, PinchWideningKeepsSpacing) {
+  const Tech& t = Tech::standard();
+  // A pinch-like corridor with relaxed gaps (1.5x min space): room to
+  // widen the middle line.
+  const Coord w = t.m1_width;
+  const Coord s = t.m1_space + t.m1_space / 2;
+  const Coord len = 14 * w;
+  Region m1;
+  m1.add(Rect{0, 0, len, 3 * w});
+  m1.add(Rect{0, 3 * w + s, len, 4 * w + s});
+  m1.add(Rect{0, 4 * w + 2 * s, len, 7 * w + 2 * s});
+  const Region middle_before = m1.clipped(Rect{0, 3 * w + s, len, 4 * w + s});
+
+  // Aimed at the middle line's window, as a DFM.PINCH.1 match would be.
+  const Rect window{len / 2 - 400, 0, len / 2 + 400, 7 * w + 2 * s};
+  Region a1;
+  ASSERT_TRUE(fix_detail::pinch_addition(m1, window, t, a1));
+  m1.add(a1);
+  EXPECT_GT(m1.clipped(Rect{0, 2 * w, len, 5 * w + 2 * s}).area(),
+            middle_before.area());
+  EXPECT_TRUE(check_min_spacing(m1, t.m1_space, "S").empty());
 }
 
 }  // namespace

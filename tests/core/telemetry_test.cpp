@@ -92,7 +92,9 @@ TEST_F(TelemetryTest, SpanNestingUnderContention) {
     for (const telem::SpanEvent& e : t.events) {
       // The recorded depth must agree with the name's nesting level.
       for (std::uint32_t d = 0; d < 4; ++d) {
-        if (std::string(e.name) == kDepthName[d]) EXPECT_EQ(e.depth, d);
+        if (std::string(e.name) == kDepthName[d]) {
+          EXPECT_EQ(e.depth, d);
+        }
       }
     }
     // Spans close inner-first, so within each recursion the ring holds

@@ -2,21 +2,28 @@
 // rules, and the subsystem's headline guarantee — a flow run against a
 // ShardBackend is byte-identical (flow_report_canonical_json) to the
 // unsharded run at every shard count, cold and after any edit sequence.
+// The invariance suite runs on in-process workers, which serve the same
+// framed protocol over socketpairs, so it covers the whole encode ->
+// frame -> dispatch -> decode -> stitch path that worker processes run.
 // The boundary tests pin the cases sharding gets wrong when the halo or
 // dedup rules are off by one: violations exactly on a shard border,
 // hotspot clusters spanning shards, capture windows reaching across a
 // border, and edits straddling two shards.
-#include "shard/local_backend.h"
+#include "shard/remote_backend.h"
 
 #include "core/incremental.h"
 #include "core/stream_source.h"
 #include "gdsii/gdsii.h"
 #include "gen/generators.h"
-#include "shard/remote_backend.h"
 #include "shard/wire.h"
 
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+
+#include <cerrno>
+#include <chrono>
+#include <csignal>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -25,7 +32,7 @@
 namespace dfm {
 namespace {
 
-using shard::LocalShardBackend;
+using shard::RemoteShardBackend;
 using shard::ShardPlan;
 
 LayerMap flow_layers(const Library& lib, std::uint32_t top) {
@@ -81,7 +88,7 @@ std::string cold_canonical(const LayerMap& m, const DfmFlowOptions& opt) {
 /// but then the test would not be exercising the shard path at all).
 std::string sharded_canonical(const LayerMap& m, DfmFlowOptions opt,
                               int shards) {
-  LocalShardBackend backend(m, shards, worker_config(opt));
+  RemoteShardBackend backend(m, shards, worker_config(opt));
   opt.shards = &backend;
   DfmFlowSession s(LayerMap(m), opt);
   EXPECT_FALSE(backend.degraded());
@@ -202,9 +209,8 @@ TEST(ShardPlan, HaloCoversLithoAndDrcInfluence) {
 }
 
 // ---------------------------------------------------------------------------
-// Wire encoding: exact round-trips (the remote path adds serialization
-// and nothing else, so exactness here is what carries local invariance
-// over to the multi-process deployment).
+// Wire encoding: exact round-trips (every worker result crosses the
+// wire, so exactness here is what keeps sharded reports byte-identical).
 
 TEST(ShardWire, GeometryRoundTripsExactly) {
   Region r;
@@ -322,7 +328,7 @@ TEST(ShardRouting, PatternSiteGoesToAnchorOwner) {
 // ---------------------------------------------------------------------------
 // Shard-count invariance: the headline guarantee.
 
-TEST(LocalShard, ColdRunIsShardCountInvariant) {
+TEST(ShardInvariance, ColdRunIsShardCountInvariant) {
   const LayerMap m = small_design(11);
   const DfmFlowOptions opt = fast_options(2, /*litho=*/true);
   const std::string want = cold_canonical(m, opt);
@@ -332,7 +338,7 @@ TEST(LocalShard, ColdRunIsShardCountInvariant) {
   }
 }
 
-TEST(LocalShard, IncrementalMatchesUnshardedAfterEveryEdit) {
+TEST(ShardInvariance, IncrementalMatchesUnshardedAfterEveryEdit) {
   // Two sessions over the same layout and edit sequence — one driving a
   // 3-shard backend, one all-local — must stay byte-identical, and both
   // must keep matching a cold run's analysis results (the incremental
@@ -341,7 +347,7 @@ TEST(LocalShard, IncrementalMatchesUnshardedAfterEveryEdit) {
   const LayerMap m = small_design(23);
   const DfmFlowOptions opt = fast_options(2, /*litho=*/true);
 
-  LocalShardBackend backend(m, 3, worker_config(opt));
+  RemoteShardBackend backend(m, 3, worker_config(opt));
   DfmFlowOptions with_shards = opt;
   with_shards.shards = &backend;
   DfmFlowSession sharded(LayerMap(m), with_shards);
@@ -381,14 +387,14 @@ LayerMap railed_canvas(Coord w, Coord h) {
   return m;
 }
 
-TEST(LocalShard, ViolationExactlyOnShardBorder) {
+TEST(ShardInvariance, ViolationExactlyOnShardBorder) {
   const DfmFlowOptions opt = fast_options(1);
   LayerMap base = railed_canvas(40000, 10000);
 
   // Learn where the internal border lands, then drop a sub-min-width
   // sliver (30 < m1_width 50) centered on it: its morphology influence
   // region is split across both workers.
-  LocalShardBackend probe(base, 2, worker_config(opt));
+  RemoteShardBackend probe(base, 2, worker_config(opt));
   ASSERT_EQ(probe.plan().nx, 2);
   const Coord bx = probe.plan().cores[0].hi.x;
   ASSERT_GT(bx, probe.plan().extent.lo.x);
@@ -406,11 +412,11 @@ TEST(LocalShard, ViolationExactlyOnShardBorder) {
   EXPECT_EQ(sharded_canonical(base, opt, 8), want);
 }
 
-TEST(LocalShard, HotspotClusterSpansThreeShards) {
+TEST(ShardInvariance, HotspotClusterSpansThreeShards) {
   DfmFlowOptions opt = fast_options(1, /*litho=*/true);
   LayerMap m = railed_canvas(30000, 8000);
 
-  LocalShardBackend probe(m, 3, worker_config(opt));
+  RemoteShardBackend probe(m, 3, worker_config(opt));
   ASSERT_EQ(probe.plan().nx, 3);
   const Coord b0 = probe.plan().cores[0].hi.x;
   const Coord b1 = probe.plan().cores[1].hi.x;
@@ -430,11 +436,11 @@ TEST(LocalShard, HotspotClusterSpansThreeShards) {
   EXPECT_EQ(sharded_canonical(m, opt, 8), want);
 }
 
-TEST(LocalShard, PatternWindowReachesAcrossBorder) {
+TEST(ShardInvariance, PatternWindowReachesAcrossBorder) {
   const DfmFlowOptions opt = fast_options(1);
   LayerMap m = railed_canvas(40000, 10000);
 
-  LocalShardBackend probe(m, 2, worker_config(opt));
+  RemoteShardBackend probe(m, 2, worker_config(opt));
   const Coord bx = probe.plan().cores[0].hi.x;
 
   // A via with end-of-line landing pads right next to the border: the
@@ -455,11 +461,11 @@ TEST(LocalShard, PatternWindowReachesAcrossBorder) {
   EXPECT_EQ(sharded_canonical(m, opt, 4), want);
 }
 
-TEST(LocalShard, EditStraddlingTwoShards) {
+TEST(ShardInvariance, EditStraddlingTwoShards) {
   const DfmFlowOptions opt = fast_options(2);
   const LayerMap m = railed_canvas(40000, 10000);
 
-  LocalShardBackend backend(m, 2, worker_config(opt));
+  RemoteShardBackend backend(m, 2, worker_config(opt));
   const Coord bx = backend.plan().cores[0].hi.x;
   DfmFlowOptions with_shards = opt;
   with_shards.shards = &backend;
@@ -489,11 +495,11 @@ TEST(LocalShard, EditStraddlingTwoShards) {
             flow_report_canonical_json(unsharded.report()));
 }
 
-TEST(LocalShard, EditEscapingExtentDegradesButStaysExact) {
+TEST(ShardInvariance, EditEscapingExtentDegradesButStaysExact) {
   const DfmFlowOptions opt = fast_options(1);
   const LayerMap m = railed_canvas(20000, 8000);
 
-  LocalShardBackend backend(m, 2, worker_config(opt));
+  RemoteShardBackend backend(m, 2, worker_config(opt));
   DfmFlowOptions with_shards = opt;
   with_shards.shards = &backend;
   DfmFlowSession sharded(LayerMap(m), with_shards);
@@ -521,13 +527,14 @@ TEST(LocalShard, EditEscapingExtentDegradesButStaysExact) {
 }
 
 // ---------------------------------------------------------------------------
-// Remote deployment: real `dfmkit shard-serve` worker processes. The
-// routing/stitching logic is shared with LocalShardBackend, so this
-// proves process lifecycle + exact serialization, not new semantics.
+// Process workers: real `dfmkit shard-serve` children. Everything past
+// worker start-up is the path the invariance suite covers, so these
+// prove process lifecycle and failure handling, not new semantics.
 
 #ifdef DFMKIT_BIN
 
-TEST(RemoteShard, MatchesDirectRunColdAndIncremental) {
+/// A small generated design written as <dir>/design.gds.
+std::string write_design(const std::string& dir) {
   DesignParams p;
   p.seed = 5;
   p.rows = 2;
@@ -535,28 +542,47 @@ TEST(RemoteShard, MatchesDirectRunColdAndIncremental) {
   p.routes = 6;
   p.via_fields = 1;
   p.vias_per_field = 9;
-  const Library lib = generate_design(p);
-
-  const std::string dir = shard::make_shard_scratch_dir();
   const std::string gds = dir + "/design.gds";
-  write_gdsii_file(lib, gds);
+  write_gdsii_file(generate_design(p), gds);
+  return gds;
+}
 
-  DfmFlowOptions opt = fast_options(1, /*litho=*/true);
-  const auto source = open_stream_source(gds);
-
-  // Unsharded baseline over the same streaming source.
-  DfmFlowSession direct(source, opt);
-  const std::string want = flow_report_canonical_json(direct.report());
-
+shard::RemoteShardConfig process_config(const DfmFlowOptions& opt,
+                                        const std::string& gds,
+                                        const std::string& dir) {
   shard::RemoteShardConfig sc;
   sc.worker = worker_config(opt);
   sc.layout_path = gds;
   sc.binary = DFMKIT_BIN;
   sc.socket_dir = dir;
   sc.shards = 2;
-  shard::RemoteShardBackend backend(shard::shard_extent_of(gds),
-                                    std::move(sc));
+  return sc;
+}
+
+/// An M1 bar straddling the first internal core border, so the edit
+/// reaches both workers.
+LayoutDelta straddling_edit(const ShardPlan& plan) {
+  const Coord bx = plan.cores[0].hi.x;
+  const Coord y = plan.extent.center().y;
+  LayoutDelta d;
+  d.add(layers::kMetal1, Rect{bx - 400, y, bx + 400, y + 90});
+  return d;
+}
+
+TEST(RemoteShard, MatchesDirectRunColdAndIncremental) {
+  const std::string dir = shard::make_shard_scratch_dir();
+  const std::string gds = write_design(dir);
+  const DfmFlowOptions opt = fast_options(1, /*litho=*/true);
+  const auto source = open_stream_source(gds);
+
+  // Unsharded baseline over the same streaming source.
+  DfmFlowSession direct(source, opt);
+  const std::string want = flow_report_canonical_json(direct.report());
+
+  RemoteShardBackend backend(shard::shard_extent_of(gds),
+                             process_config(opt, gds, dir));
   ASSERT_EQ(backend.shard_count(), 2u);
+  ASSERT_EQ(backend.processes().size(), 2u);
 
   DfmFlowOptions sharded = opt;
   sharded.shards = &backend;
@@ -566,16 +592,59 @@ TEST(RemoteShard, MatchesDirectRunColdAndIncremental) {
 
   // One straddling edit over the wire: both sessions apply it; the
   // sharded report must track the direct one byte for byte.
-  const Coord bx = backend.plan().cores[0].hi.x;
-  const Rect bb = backend.plan().extent;
-  LayoutDelta d;
-  d.add(layers::kMetal1, Rect{bx - 400, bb.center().y, bx + 400,
-                              bb.center().y + 90});
+  const LayoutDelta d = straddling_edit(backend.plan());
   session.apply(d);
   direct.apply(d);
   EXPECT_FALSE(backend.degraded());
   EXPECT_EQ(flow_report_canonical_json(session.report()),
             flow_report_canonical_json(direct.report()));
+}
+
+TEST(ShardFault, WorkerExitingAtStartupThrowsAndIsReaped) {
+  const std::string dir = shard::make_shard_scratch_dir();
+  shard::RemoteShardConfig sc =
+      process_config(fast_options(1), dir + "/unused.gds", dir);
+  sc.binary = "/bin/false";  // exits before it ever binds its socket
+  sc.spawn_timeout_s = 10;
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_THROW(RemoteShardBackend(Rect{0, 0, 20000, 10000}, sc),
+               std::runtime_error);
+  const std::chrono::duration<double> took =
+      std::chrono::steady_clock::now() - start;
+  EXPECT_LT(took.count(), sc.spawn_timeout_s);
+  // Every worker the constructor started has been reaped.
+  errno = 0;
+  EXPECT_EQ(::waitpid(-1, nullptr, WNOHANG), -1);
+  EXPECT_EQ(errno, ECHILD);
+}
+
+TEST(ShardFault, KilledWorkerDegradesButStaysExact) {
+  const std::string dir = shard::make_shard_scratch_dir();
+  const std::string gds = write_design(dir);
+  const DfmFlowOptions opt = fast_options(1, /*litho=*/true);
+  const auto source = open_stream_source(gds);
+  DfmFlowSession direct(source, opt);
+
+  RemoteShardBackend backend(shard::shard_extent_of(gds),
+                             process_config(opt, gds, dir));
+  DfmFlowOptions sharded = opt;
+  sharded.shards = &backend;
+  DfmFlowSession session(source, sharded);
+  EXPECT_EQ(flow_report_canonical_json(session.report()),
+            flow_report_canonical_json(direct.report()));
+  ASSERT_FALSE(backend.degraded());
+
+  // A worker dies between the cold run and an edit: the backend must
+  // stop accelerating, and the flow's local fallback keeps the report
+  // exact.
+  ASSERT_EQ(backend.processes().size(), 2u);
+  ASSERT_EQ(::kill(backend.processes()[1].pid, SIGKILL), 0);
+  const LayoutDelta d = straddling_edit(backend.plan());
+  session.apply(d);
+  direct.apply(d);
+  const std::string got = flow_report_canonical_json(session.report());
+  EXPECT_TRUE(backend.degraded());
+  EXPECT_EQ(got, flow_report_canonical_json(direct.report()));
 }
 
 #endif  // DFMKIT_BIN

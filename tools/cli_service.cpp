@@ -17,6 +17,7 @@
 #include <cstring>
 #include <fstream>
 #include <iterator>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -122,6 +123,15 @@ void print_loadgen(const LoadGenReport& rep, const LoadGenOptions& opt) {
 
 }  // namespace
 
+LithoFastMode litho_fast_option(const std::string& arg) {
+  const std::optional<LithoFastMode> mode = parse_litho_fast(arg);
+  if (!mode) {
+    throw std::runtime_error(
+        "--litho-fast: expected auto|fft|direct|off, got '" + arg + "'");
+  }
+  return *mode;
+}
+
 int cmd_serve(int argc, char** argv, unsigned threads) {
   const Args args = Args::parse(
       argc, argv, 2,
@@ -215,21 +225,7 @@ int cmd_serve(int argc, char** argv, unsigned threads) {
     opt.flow.fix.moves.push_back(name);
   }
   const std::string litho_fast = args.str("--litho-fast", "");
-  if (!litho_fast.empty()) {
-    if (litho_fast == "auto") {
-      opt.flow.litho_fast = LithoFastMode::kAuto;
-    } else if (litho_fast == "fft") {
-      opt.flow.litho_fast = LithoFastMode::kFft;
-    } else if (litho_fast == "direct") {
-      opt.flow.litho_fast = LithoFastMode::kDirect;
-    } else if (litho_fast == "off") {
-      opt.flow.litho_fast = LithoFastMode::kOff;
-    } else {
-      throw std::runtime_error(
-          "--litho-fast: expected auto|fft|direct|off, got '" + litho_fast +
-          "'");
-    }
-  }
+  if (!litho_fast.empty()) opt.flow.litho_fast = litho_fast_option(litho_fast);
 
   // Distributed sharding: every session this daemon opens (default top
   // only) gets its own fleet of `dfmkit shard-serve` worker processes.

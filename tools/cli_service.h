@@ -8,7 +8,15 @@
 //                        one cross-process timeline
 #pragma once
 
+#include "litho/litho.h"
+
+#include <string>
+
 namespace dfm::cli {
+
+/// The mode a `--litho-fast` value names; throws std::runtime_error on
+/// an unknown spelling.
+LithoFastMode litho_fast_option(const std::string& arg);
 
 /// `dfmkit serve ...`; argv/argc are main()'s (argv[1] == "serve").
 /// `threads` is the global --threads value (compute pool size).

@@ -266,15 +266,6 @@ CliEdit parse_edit(const std::string& spec) {
   return e;
 }
 
-LithoFastMode parse_litho_fast(const std::string& s) {
-  if (s == "auto") return LithoFastMode::kAuto;
-  if (s == "fft") return LithoFastMode::kFft;
-  if (s == "direct") return LithoFastMode::kDirect;
-  if (s == "off") return LithoFastMode::kOff;
-  throw std::runtime_error("--litho-fast: expected auto|fft|direct|off, got '" +
-                           s + "'");
-}
-
 void print_flow_report(const std::string& title, const DfmFlowReport& rep) {
   Table t(title);
   t.set_header({"technique", "score", "signal"});
@@ -360,7 +351,9 @@ int cmd_flow(int argc, char** argv) {
   opt.model.sigma = 25;
   opt.model.px = 5;
   opt.threads = g_threads;
-  if (!litho_fast_arg.empty()) opt.litho_fast = parse_litho_fast(litho_fast_arg);
+  if (!litho_fast_arg.empty()) {
+    opt.litho_fast = cli::litho_fast_option(litho_fast_arg);
+  }
   if (!budget_arg.empty() &&
       !parse_byte_size(budget_arg, &opt.memory_budget)) {
     throw std::runtime_error("--memory-budget: expected a byte size like "
