@@ -182,8 +182,7 @@ void convolve_rows(float* data, int nx, int ny, const FftPlan& plan,
       std::fill(re.begin() + nx, re.end(), 0.0f);
       std::fill(im.begin() + nx, im.end(), 0.0f);
       fft(plan, re.data(), im.data(), /*inverse=*/false);
-      // The kernel spectrum is real, so one multiply per component; this
-      // loop is the SIMD hot spot and vectorizes as written.
+      // The kernel spectrum is real, so one multiply per component.
       float* pre = re.data();
       float* pim = im.data();
       const float* ph = h.data();
@@ -235,9 +234,23 @@ bool fft_beats_direct(std::size_t ntaps, int nx, int ny) {
   // FFT: one complex FFT per row per pass (two real rows share one
   // transform, two transforms per pair) at ~5*L*log2(L) flops, plus the
   // real-spectrum pointwise multiply, plus two transposes counted as
-  // memory traffic. Constants validated against the measured crossover
-  // on the RelWithDebInfo build (direct inner loop vectorizes well, so
-  // FFT only wins for genuinely wide kernels).
+  // memory traffic. GCC 12 at -O2 vectorizes no loop in this file; the
+  // direct kernel runs 8 pixels per tap in SSE registers. Measured on
+  // the RelWithDebInfo build, one thread, 4-core Xeon (ms, best of 3):
+  //
+  //   shape (px)   taps   direct    FFT   model picks
+  //   4148x738      37      28      182   direct
+  //   832x832       31       5.3     23   direct
+  //   948x948       37       8.3     27   FFT
+  //   634x634       73       6.5     17   FFT
+  //   512x512      121       7.5     14   FFT
+  //   984x984      181      43       57   FFT
+  //   512x512      301      19       14   FFT
+  //
+  // So the model is right for narrow kernels on long strips and picks
+  // FFT below the measured crossover (about 180 taps); the constants
+  // predate the register-blocked direct kernel and await recalibration
+  // (ROADMAP item 2).
   const auto pass = [](double rows, double len) {
     return rows * (5.0 * len * std::log2(len) + 3.0 * len);
   };

@@ -81,9 +81,9 @@ namespace fftconv {
 
 /// Cost-model crossover: true when FFT convolution of an nx x ny raster
 /// with `ntaps` taps (both axes) is expected to beat the direct
-/// separable loop. Constants are calibrated against the direct path on
-/// commodity x86; the margin keeps kAuto from ever picking a clearly
-/// slower plan.
+/// separable loop. The constants were calibrated against the scalar
+/// direct loop; fft.cpp tabulates their decisions against measured
+/// times of the current register-blocked kernel.
 bool fft_beats_direct(std::size_t ntaps, int nx, int ny);
 
 /// Separable convolution of `in` with `taps` via per-row FFTs on both

@@ -107,6 +107,13 @@ TEST(Fft, CrossoverPrefersDirectForNarrowKernels) {
   EXPECT_TRUE(fftconv::fft_beats_direct(121, 512, 512));
   EXPECT_TRUE(fftconv::fft_beats_direct(301, 256, 256));
   EXPECT_FALSE(fftconv::fft_beats_direct(121, 4, 4));
+  // Pins of the model's current constants, so that moving them is a
+  // deliberate act: the signoff tile strip stays direct, a 634 px square
+  // with a defocused kernel goes FFT. fft.cpp records the measured times
+  // behind both (direct is faster at the second since the
+  // register-blocked kernel).
+  EXPECT_FALSE(fftconv::fft_beats_direct(37, 4148, 738));
+  EXPECT_TRUE(fftconv::fft_beats_direct(73, 634, 634));
 }
 
 TEST(Fft, KernelSpectrumCacheReusesTransforms) {
