@@ -5,7 +5,6 @@
 #include "core/report.h"
 #include "core/shard_backend.h"
 #include "core/telemetry.h"
-#include "litho/fft.h"
 #include "litho/prefilter.h"
 
 #include <algorithm>
@@ -480,11 +479,7 @@ void run_flow_passes(DfmFlowReport& rep, const LayoutSnapshot& snap,
     sim.model = options.model;
     sim.edge_tolerance = options.litho_edge_tolerance;
     sim.tile = options.litho_tile;
-    sim.fast = options.litho_fast;
-    if (caches.kernels == nullptr) {
-      caches.kernels = std::make_shared<KernelSpectrumCache>();
-    }
-    sim.kernels = caches.kernels;
+    sim.prefilter = options.litho_fast != LithoFastMode::kOff;
     const bool have = inc && caches.litho_valid;
     // Distributed path: the coordinator mirrors the tiled run's
     // bookkeeping exactly — same make_tiles grid, same 6-sigma stale

@@ -4,7 +4,6 @@
 #include "core/snapshot.h"
 #include "core/telemetry.h"
 #include "geometry/rtree.h"
-#include "litho/fft.h"
 #include "litho/prefilter.h"
 
 #include <algorithm>
@@ -66,10 +65,10 @@ std::vector<HotspotMatch> scan_impl(const std::vector<Rect>& rects,
 }
 
 // Resolves the prefilter calibration a tiled run should use; an invalid
-// calibration (returned when the prefilter is off, forced off by kOff,
-// or unprovable for this model) disables skipping entirely.
+// calibration (returned when the prefilter is off or unprovable for
+// this model) disables skipping entirely.
 PrefilterCalibration resolve_calibration(const HotspotSimOptions& options) {
-  if (!options.prefilter || options.fast == LithoFastMode::kOff) return {};
+  if (!options.prefilter) return {};
   return prefilter_calibration(options.model, options.edge_tolerance,
                                options.prefilter_window.empty()
                                    ? default_process_window()
@@ -127,9 +126,8 @@ std::vector<Hotspot> simulate_tile(const NormalizedRegion& layer,
       return local;
     }
   }
-  const Region printed = simulate_print_ex(clip, window, options.model, {},
-                                           pool, options.fast,
-                                           options.kernels.get());
+  const Region printed =
+      simulate_print(clip, window, options.model, {}, pool);
   for (Hotspot h : find_hotspots(clip.clipped(core.expanded(margin / 2)),
                                  printed, options.edge_tolerance)) {
     if (core.contains(h.marker.center())) local.push_back(std::move(h));
@@ -211,10 +209,11 @@ HotspotTileSim resim_impl(const NormalizedRegion& layer, const DensityMap* dm,
 }
 
 // The snapshot overloads gate on the memoized density grid only when the
-// prefilter is active: kOff must stay byte-for-byte the historical path.
+// prefilter is active: prefilter-off must stay byte-for-byte the
+// historical path.
 const DensityMap* density_for(const LayoutSnapshot& snap, LayerKey layer,
                               const HotspotSimOptions& options) {
-  if (!options.prefilter || options.fast == LithoFastMode::kOff) return nullptr;
+  if (!options.prefilter) return nullptr;
   if (!snap.has(layer)) return nullptr;
   return &snap.density(layer, options.tile);
 }

@@ -10,7 +10,6 @@
 #include "litho/litho.h"
 #include "pattern/clustering.h"
 
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -77,20 +76,15 @@ struct HotspotSimOptions : PassOptions {
   Coord edge_tolerance = 12;
   Coord tile = 20000;  // core edge of one simulation tile
 
-  /// Convolution strategy per tile (litho fast path). kOff restores the
-  /// historical behaviour exactly: direct convolution, no prefilter.
-  LithoFastMode fast = LithoFastMode::kAuto;
-  /// Conservative prefilter: tiles whose geometry provably cannot print
-  /// a hotspot anywhere in `prefilter_window` bypass simulation
-  /// entirely. Only removes provably-empty tile results, so the merged
-  /// hotspot set is unchanged. Forced off by fast == kOff.
+  /// Conservative prefilter (litho fast path): tiles whose geometry
+  /// provably cannot print a hotspot anywhere in `prefilter_window`
+  /// bypass simulation entirely. Only removes provably-empty tile
+  /// results, so the merged hotspot set is unchanged; false restores the
+  /// historical behaviour exactly.
   bool prefilter = true;
   /// Process window the prefilter must be safe across; empty means
   /// default_process_window() (litho/prefilter.h).
   std::vector<ProcessCondition> prefilter_window;
-  /// Shared kernel-spectrum memo for the FFT path; null falls back to
-  /// the process-global cache. FlowCaches keeps one per session.
-  std::shared_ptr<KernelSpectrumCache> kernels;
 };
 
 /// A tiled simulation with its per-tile hotspot lists kept separate —
@@ -161,7 +155,7 @@ HotspotTileSim resimulate_hotspots(NormalizedRegion layer, const Rect& extent,
 /// Snapshot-native incremental re-simulation: stale tiles go through the
 /// same density-gate + prefilter + convolution path as the snapshot
 /// overload of simulate_hotspots_tiled, so a splice is bit-identical to
-/// the cold snapshot run under every LithoFastMode.
+/// the cold snapshot run with the prefilter on or off.
 HotspotTileSim resimulate_hotspots(const LayoutSnapshot& snap, LayerKey layer,
                                    const Rect& extent,
                                    const HotspotSimOptions& options,

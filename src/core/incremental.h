@@ -49,9 +49,6 @@ struct FlowCaches {
   std::vector<std::size_t> recommended_hits;  // per recommended rule
   HotspotTileSim litho;
   bool litho_valid = false;
-  /// Kernel spectra for the litho FFT path, shared across runs of a
-  /// session (one transform per process corner and raster size).
-  std::shared_ptr<KernelSpectrumCache> kernels;
 
   bool valid = false;
 };

@@ -1,4 +1,3 @@
-#include "litho/fft.h"
 #include "litho/kernel_detail.h"
 #include "litho/litho.h"
 
@@ -14,22 +13,11 @@
 namespace dfm {
 
 const char* litho_fast_name(LithoFastMode mode) {
-  switch (mode) {
-    case LithoFastMode::kFft:
-      return "fft";
-    case LithoFastMode::kDirect:
-      return "direct";
-    case LithoFastMode::kOff:
-      return "off";
-    case LithoFastMode::kAuto:
-      break;
-  }
-  return "auto";
+  return mode == LithoFastMode::kOff ? "off" : "auto";
 }
 
 std::optional<LithoFastMode> parse_litho_fast(std::string_view name) {
-  for (const LithoFastMode m : {LithoFastMode::kAuto, LithoFastMode::kFft,
-                                LithoFastMode::kDirect, LithoFastMode::kOff}) {
+  for (const LithoFastMode m : {LithoFastMode::kAuto, LithoFastMode::kOff}) {
     if (name == litho_fast_name(m)) return m;
   }
   return std::nullopt;
@@ -121,10 +109,9 @@ Raster convolve_separable(Raster img, const std::vector<float>& taps,
 
 }  // namespace detail
 
-Raster aerial_image_ex(const Region& mask, const Rect& window,
-                       const OpticalModel& model, Coord defocus,
-                       ThreadPool* pool, LithoFastMode mode,
-                       KernelSpectrumCache* kernels) {
+Raster aerial_image(const Region& mask, const Rect& window,
+                    const OpticalModel& model, Coord defocus,
+                    ThreadPool* pool) {
   // Pad the window by the kernel reach so features just outside still
   // contribute, then crop back. The taps come from the unrounded
   // effective sigma; at defocus 0 it equals `sigma` exactly, so the
@@ -138,18 +125,8 @@ Raster aerial_image_ex(const Region& mask, const Rect& window,
     img = rasterize(mask, padded, model.px, pool);
   }
   const double sigma_px = s / static_cast<double>(model.px);
-  const std::vector<float> taps = detail::gaussian_taps(sigma_px);
-  const bool use_fft =
-      mode == LithoFastMode::kFft ||
-      (mode == LithoFastMode::kAuto &&
-       fftconv::fft_beats_direct(taps.size(), img.nx, img.ny));
-  if (use_fft) {
-    TELEM_COUNTER_ADD("litho.convolve_fft", 1);
-    img = fftconv::fft_convolve_separable(img, taps, kernels, pool);
-  } else {
-    TELEM_COUNTER_ADD("litho.convolve_direct", 1);
-    img = detail::convolve_separable(std::move(img), taps, pool);
-  }
+  img = detail::convolve_separable(std::move(img),
+                                   detail::gaussian_taps(sigma_px), pool);
 
   // Crop to the requested window.
   Raster out;
@@ -166,13 +143,6 @@ Raster aerial_image_ex(const Region& mask, const Rect& window,
     }
   }
   return out;
-}
-
-Raster aerial_image(const Region& mask, const Rect& window,
-                    const OpticalModel& model, Coord defocus,
-                    ThreadPool* pool) {
-  return aerial_image_ex(mask, window, model, defocus, pool,
-                         LithoFastMode::kOff);
 }
 
 Region printed_region(const Raster& aerial, const OpticalModel& model,
@@ -204,15 +174,6 @@ Region simulate_print(const Region& mask, const Rect& window,
                       ThreadPool* pool) {
   return printed_region(aerial_image(mask, window, model, cond.defocus, pool),
                         model, cond);
-}
-
-Region simulate_print_ex(const Region& mask, const Rect& window,
-                         const OpticalModel& model,
-                         const ProcessCondition& cond, ThreadPool* pool,
-                         LithoFastMode mode, KernelSpectrumCache* kernels) {
-  return printed_region(
-      aerial_image_ex(mask, window, model, cond.defocus, pool, mode, kernels),
-      model, cond);
 }
 
 }  // namespace dfm

@@ -20,18 +20,16 @@
 
 namespace dfm {
 
-class ThreadPool;           // core/parallel.h
-class KernelSpectrumCache;  // litho/fft.h
+class ThreadPool;  // core/parallel.h
 
-/// Convolution strategy for the litho fast path (PR: litho fast path).
-/// kAuto picks FFT vs the direct separable loop per tile by the
-/// kernel-radius/raster-size crossover; kOff is the conservative
-/// everything-direct, no-prefilter mode matching the historical
-/// behaviour bit for bit.
-enum class LithoFastMode { kAuto, kFft, kDirect, kOff };
+/// Litho fast path of a flow: kAuto runs the conservative hotspot
+/// prefilter (and the density gate) before simulating a tile; kOff
+/// simulates every tile, the historical behaviour bit for bit. Both
+/// convolve with the same direct separable kernel.
+enum class LithoFastMode { kAuto, kOff };
 
-/// The spelling of `mode` on the command line and the wire: "auto",
-/// "fft", "direct" or "off".
+/// The spelling of `mode` on the command line and the wire: "auto" or
+/// "off".
 const char* litho_fast_name(LithoFastMode mode);
 /// Inverse of litho_fast_name; nullopt for any other spelling.
 std::optional<LithoFastMode> parse_litho_fast(std::string_view name);
@@ -78,23 +76,12 @@ struct ProcessCondition {
   Coord defocus = 0;   // nm
 };
 
-/// Aerial image: Gaussian-convolved rasterized mask. Row-parallel with a
-/// pool (each output pixel is independent), deterministic either way.
-/// Always uses the direct separable convolution.
+/// Aerial image: Gaussian-convolved rasterized mask, through the direct
+/// separable convolution. Row-parallel with a pool (each output pixel is
+/// independent), bit-identical at any thread count.
 Raster aerial_image(const Region& mask, const Rect& window,
                     const OpticalModel& model, Coord defocus = 0,
                     ThreadPool* pool = nullptr);
-
-/// aerial_image with an explicit convolution strategy. kFft (or kAuto
-/// past the crossover) computes the same separable convolution through
-/// per-row FFTs — equal to the direct path within float round-off, and
-/// bit-identical to itself at any thread count. `kernels` memoizes the
-/// kernel spectra across tiles/corners; null falls back to a process
-/// global cache.
-Raster aerial_image_ex(const Region& mask, const Rect& window,
-                       const OpticalModel& model, Coord defocus,
-                       ThreadPool* pool, LithoFastMode mode,
-                       KernelSpectrumCache* kernels = nullptr);
 
 /// Printed contours at a process condition: pixels with dose*I >= threshold,
 /// returned as a merged region (pixel-grid resolution).
@@ -106,14 +93,6 @@ Region simulate_print(const Region& mask, const Rect& window,
                       const OpticalModel& model,
                       const ProcessCondition& cond = {},
                       ThreadPool* pool = nullptr);
-
-/// simulate_print with an explicit convolution strategy (see
-/// aerial_image_ex).
-Region simulate_print_ex(const Region& mask, const Rect& window,
-                         const OpticalModel& model,
-                         const ProcessCondition& cond, ThreadPool* pool,
-                         LithoFastMode mode,
-                         KernelSpectrumCache* kernels = nullptr);
 
 // ---- CD gauges -----------------------------------------------------------
 

@@ -18,10 +18,9 @@ namespace {
 // printed set is a pixelwise subset (pinch) / superset (bridge) of the
 // real one. The 5% headroom absorbs what dose monotonicity does not
 // cover: clip-edge light loss at the tile window boundary (< 0.5% at
-// the half-halo distance) and FFT-vs-direct round-off (~1e-4). The
-// prefilter safety suite keeps it honest: it re-simulates every skipped
-// tile at all window corners and pins geometry just inside / outside
-// the calibrated thresholds.
+// the half-halo distance). The prefilter safety suite keeps it honest:
+// it re-simulates every skipped tile at all window corners and pins
+// geometry just inside / outside the calibrated thresholds.
 constexpr double kDoseMargin = 1.05;
 
 double phi(double x) { return 0.5 * (1.0 + std::erf(x / std::sqrt(2.0))); }

@@ -63,7 +63,7 @@ Json do_open(const Json& req, unsigned default_threads,
   const std::string fast = req.get_string("litho_fast", "auto");
   const std::optional<LithoFastMode> mode = parse_litho_fast(fast);
   if (!mode) {
-    throw JsonError("litho_fast: expected auto|fft|direct|off, got \"" +
+    throw JsonError("litho_fast: expected auto|off, got \"" +
                     fast + "\"");
   }
   config.litho_fast = *mode;

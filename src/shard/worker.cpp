@@ -5,7 +5,6 @@
 #include "core/snapshot_source.h"
 #include "core/telemetry.h"
 #include "drc/engine.h"
-#include "litho/fft.h"
 #include "litho/prefilter.h"
 
 #include <utility>
@@ -83,9 +82,7 @@ std::vector<Hotspot> ShardWorkerSession::litho_tile(const Rect& tile_core,
   sim.model = config_.model;
   sim.edge_tolerance = config_.litho_edge_tolerance;
   sim.tile = config_.litho_tile;
-  sim.fast = config_.litho_fast;
-  if (kernels_ == nullptr) kernels_ = std::make_shared<KernelSpectrumCache>();
-  sim.kernels = kernels_;
+  sim.prefilter = config_.litho_fast != LithoFastMode::kOff;
   if (cal_ == nullptr) {
     cal_ = std::make_unique<PrefilterCalibration>(
         resolve_litho_calibration(sim));

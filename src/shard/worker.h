@@ -99,7 +99,6 @@ class ShardWorkerSession {
   std::unique_ptr<LayoutSnapshot> snap_;
   std::unique_ptr<DrcPlusEngine> engine_;
   std::unique_ptr<ThreadPool> pool_;  // null when config_.threads == 1
-  std::shared_ptr<KernelSpectrumCache> kernels_;
   std::unique_ptr<PrefilterCalibration> cal_;  // resolved on first tile
 };
 

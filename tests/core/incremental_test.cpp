@@ -300,19 +300,19 @@ TEST(DfmFlowSession, LithoTileSplicingMatchesCold) {
 }
 
 // The litho fast path must survive tile splicing too: an incremental
-// session running FFT convolution (prefilter and all) stays equivalent
-// to a cold FFT run AND to the historical direct path after every edit —
+// session with the prefilter on (kAuto) stays equivalent to a cold kAuto
+// run AND to the historical prefilter-off path after every edit —
 // spliced tiles and freshly simulated ones must agree on the hotspot
-// set regardless of which convolution produced them.
-TEST(DfmFlowSession, FftFastPathSplicingMatchesColdAndDirect) {
-  DfmFlowOptions fft = fast_options(1, /*litho=*/true);
-  fft.litho_fast = LithoFastMode::kFft;
-  DfmFlowOptions off = fft;
+// set whether the prefilter skipped them or not.
+TEST(DfmFlowSession, PrefilterSplicingMatchesColdAutoAndOff) {
+  const DfmFlowOptions fast = fast_options(1, /*litho=*/true);
+  ASSERT_EQ(fast.litho_fast, LithoFastMode::kAuto);
+  DfmFlowOptions off = fast;
   off.litho_fast = LithoFastMode::kOff;
 
   const LayerMap base = small_design(21);
   LayerMap shadow = base;
-  DfmFlowSession sess(base, fft);
+  DfmFlowSession sess(base, fast);
   Rng rng(99);
   const Rect core = interior(sess.snapshot().bbox());
   for (int i = 0; i < 6; ++i) {
@@ -325,14 +325,15 @@ TEST(DfmFlowSession, FftFastPathSplicingMatchesColdAndDirect) {
     }
     d.apply(shadow);
     const DfmFlowReport& warm = sess.apply(d);
-    if (i % 2 == 1) {
-      const LayoutSnapshot snap{LayerMap(shadow)};
-      const DfmFlowReport cold_fft = run_dfm_flow(snap, fft);
-      const DfmFlowReport cold_off = run_dfm_flow(snap, off);
-      ASSERT_TRUE(reports_equivalent(warm, cold_fft)) << "after edit " << i;
-      ASSERT_TRUE(reports_equivalent(warm, cold_off)) << "after edit " << i;
-    }
+    const LayoutSnapshot snap{LayerMap(shadow)};
+    const DfmFlowReport cold_fast = run_dfm_flow(snap, fast);
+    const DfmFlowReport cold_off = run_dfm_flow(snap, off);
+    ASSERT_TRUE(reports_equivalent(warm, cold_fast)) << "after edit " << i;
+    ASSERT_TRUE(reports_equivalent(warm, cold_off)) << "after edit " << i;
   }
+  const PassTrace* litho = sess.report().trace.find("litho");
+  ASSERT_NE(litho, nullptr);
+  EXPECT_TRUE(litho->incremental);
 }
 
 TEST(DfmFlowSession, BboxMovingEditFallsBackToFullRun) {

@@ -4,7 +4,6 @@
 // raster), through aerial_image's pad/rasterize/crop framing, and at
 // every thread count.
 #include "core/parallel.h"
-#include "core/telemetry.h"
 #include "gen/rng.h"
 #include "litho/kernel_detail.h"
 #include "litho/litho.h"
@@ -164,35 +163,8 @@ TEST(Convolve, AerialImageMatchesScalarOracle) {
       EXPECT_TRUE(same_bytes(
           aerial_image(mask, window, model, defocus, pool.get()), want))
           << "case " << i << " threads=" << threads;
-      EXPECT_TRUE(same_bytes(aerial_image_ex(mask, window, model, defocus,
-                                             pool.get(), LithoFastMode::kDirect),
-                             want))
-          << "case " << i << " threads=" << threads;
     }
   }
-}
-
-TEST(Convolve, CountersRecordTheChosenKernel) {
-#ifdef DFMKIT_TELEMETRY_OFF
-  GTEST_SKIP() << "metrics are compiled out";
-#else
-  telemetry::Counter& direct = telemetry::counter("litho.convolve_direct");
-  telemetry::Counter& fft = telemetry::counter("litho.convolve_fft");
-  Region mask;
-  mask.add(Rect{100, 100, 400, 300});
-  const Rect window{0, 0, 500, 400};
-  const OpticalModel model;
-
-  const std::uint64_t d0 = direct.value();
-  const std::uint64_t f0 = fft.value();
-  aerial_image_ex(mask, window, model, 0, nullptr, LithoFastMode::kDirect);
-  EXPECT_EQ(direct.value(), d0 + 1);
-  EXPECT_EQ(fft.value(), f0);
-
-  aerial_image_ex(mask, window, model, 0, nullptr, LithoFastMode::kFft);
-  EXPECT_EQ(direct.value(), d0 + 1);
-  EXPECT_EQ(fft.value(), f0 + 1);
-#endif
 }
 
 }  // namespace

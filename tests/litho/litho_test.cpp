@@ -44,6 +44,17 @@ TEST(Raster, OversizeWindowRejected) {
                std::invalid_argument);
 }
 
+TEST(LithoFast, ParsesAutoAndOffOnly) {
+  for (const LithoFastMode m : {LithoFastMode::kAuto, LithoFastMode::kOff}) {
+    EXPECT_EQ(parse_litho_fast(litho_fast_name(m)), m);
+  }
+  EXPECT_STREQ(litho_fast_name(LithoFastMode::kAuto), "auto");
+  EXPECT_STREQ(litho_fast_name(LithoFastMode::kOff), "off");
+  for (const char* name : {"fft", "direct", "", "AUTO", "auto "}) {
+    EXPECT_EQ(parse_litho_fast(name), std::nullopt) << '"' << name << '"';
+  }
+}
+
 TEST(Aerial, WideFeatureReachesFullIntensity) {
   // A feature much wider than the PSF prints at ~1.0 in its middle.
   const Region mask{Rect{-500, -500, 500, 500}};

@@ -373,20 +373,16 @@ TEST(PrefilterFlow, TiledRunMatchesPrefilterOffBitForBit) {
   HotspotSimOptions off;
   off.model = model();
   off.tile = 4000;
-  off.fast = LithoFastMode::kOff;
+  off.prefilter = false;
   const HotspotTileSim base = simulate_hotspots_tiled(m1, extent, off);
   EXPECT_EQ(base.skipped, 0u);
 
-  for (const LithoFastMode mode :
-       {LithoFastMode::kAuto, LithoFastMode::kFft, LithoFastMode::kDirect}) {
-    HotspotSimOptions fast = off;
-    fast.fast = mode;
-    const HotspotTileSim sim = simulate_hotspots_tiled(m1, extent, fast);
-    ASSERT_EQ(sim.tiles.size(), base.tiles.size());
-    EXPECT_EQ(sim.per_tile, base.per_tile)
-        << "mode " << static_cast<int>(mode);
-    EXPECT_EQ(sim.merged(), base.merged());
-  }
+  HotspotSimOptions on = off;
+  on.prefilter = true;
+  const HotspotTileSim sim = simulate_hotspots_tiled(m1, extent, on);
+  ASSERT_EQ(sim.tiles.size(), base.tiles.size());
+  EXPECT_EQ(sim.per_tile, base.per_tile);
+  EXPECT_EQ(sim.merged(), base.merged());
 }
 
 TEST(PrefilterFlow, ResultInvariantAcrossThreadCounts) {

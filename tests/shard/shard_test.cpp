@@ -15,17 +15,23 @@
 #include "core/stream_source.h"
 #include "gdsii/gdsii.h"
 #include "gen/generators.h"
+#include "service/client.h"
+#include "shard/shard_server.h"
 #include "shard/wire.h"
 
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
 #include <sys/wait.h>
+#include <unistd.h>
 
 #include <cerrno>
 #include <chrono>
 #include <csignal>
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -269,6 +275,40 @@ TEST(ShardWire, TechModelRuleDeltaRoundTrip) {
   d.apply(a);
   d2.apply(b);
   EXPECT_EQ(a, b);
+}
+
+// ---------------------------------------------------------------------------
+// Worker requests: a malformed shard_open is answered, not fatal.
+
+TEST(ShardServer, OpenRejectsUnknownLithoFastAndKeepsServing) {
+  int fds[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0, fds), 0);
+  std::thread worker([fd = fds[1]] {
+    std::optional<shard::ShardWorkerSession> session;
+    shard::serve_connection(fd, shard::ShardServeOptions{}, session);
+    ::close(fd);
+  });
+  service::ServiceClient client = service::ServiceClient::adopt(fds[0]);
+  const auto open = [&](const char* fast) {
+    service::Json::Object req;
+    req["op"] = service::Json("shard_open");
+    req["core"] = shard::rect_to_json(Rect{0, 0, 1000, 1000});
+    req["window"] = shard::rect_to_json(Rect{-500, -500, 1500, 1500});
+    req["tech"] = shard::tech_to_json(Tech::standard());
+    req["model"] = shard::model_to_json(OpticalModel{});
+    req["litho_fast"] = service::Json(fast);
+    req["layers"] = service::Json(service::Json::Array{});
+    return client.call(service::Json(std::move(req)));
+  };
+  for (const char* removed : {"fft", "direct"}) {
+    const service::Json reply = open(removed);
+    EXPECT_FALSE(reply.get_bool("ok", true)) << removed;
+    EXPECT_EQ(reply.get_string("error", ""), "bad_request") << removed;
+  }
+  EXPECT_TRUE(client.ping().get_bool("ok", false));
+  EXPECT_TRUE(open("off").get_bool("ok", false));
+  client.close();
+  worker.join();
 }
 
 // ---------------------------------------------------------------------------

@@ -127,7 +127,7 @@ LithoFastMode litho_fast_option(const std::string& arg) {
   const std::optional<LithoFastMode> mode = parse_litho_fast(arg);
   if (!mode) {
     throw std::runtime_error(
-        "--litho-fast: expected auto|fft|direct|off, got '" + arg + "'");
+        "--litho-fast: expected auto|off, got '" + arg + "'");
   }
   return *mode;
 }
@@ -146,7 +146,7 @@ int cmd_serve(int argc, char** argv, unsigned threads) {
         "usage: dfmkit serve [--socket <path>] [--tcp <port>] [--workers N] "
         "[--pool-threads N] [--max-sessions N] [--max-queue N] "
         "[--idle-timeout-ms N] [--deadline-ms N] [--passes a,b,...] "
-        "[--litho-tile N] [--litho-fast auto|fft|direct|off] "
+        "[--litho-tile N] [--litho-fast auto|off] "
         "[--memory-budget <size>] [--snapshot-shm <prefix>] "
         "[--fix-max-iters N] [--fix-min-gain G] [--fix-moves a,b,...] "
         "[--trace-out <path>] [--flight-records N] [--slow-ms MS] "

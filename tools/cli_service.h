@@ -14,8 +14,8 @@
 
 namespace dfm::cli {
 
-/// The mode a `--litho-fast` value names; throws std::runtime_error on
-/// an unknown spelling.
+/// The mode a `--litho-fast` value ("auto" or "off") names; throws
+/// std::runtime_error on any other spelling.
 LithoFastMode litho_fast_option(const std::string& arg);
 
 /// `dfmkit serve ...`; argv/argc are main()'s (argv[1] == "serve").
