@@ -5,14 +5,13 @@
 #include "core/report.h"
 #include "core/shard_backend.h"
 #include "core/telemetry.h"
-#include "litho/prefilter.h"
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <map>
-#include <numeric>
+#include <optional>
 #include <utility>
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -195,6 +194,38 @@ void run_flow_passes(DfmFlowReport& rep, const LayoutSnapshot& snap,
     // overshooting mid-pass (eviction cannot run inside a pass).
     if (budgeted) snap.evict_to_budget(keep, snap.budget().limit() / 2);
   };
+  // Runs `run_batch` over the stale rule indices: as one batch, or under
+  // a budget as one batch per layer working set (`layers_of` a rule, in
+  // order of first appearance), hydrating one group at a time and
+  // evicting down to the budget between groups. Each rule's result lands
+  // at its deck index, so the assembled lists stay in deck order either
+  // way.
+  const auto run_rule_groups = [&](const std::vector<std::size_t>& stale,
+                                   const auto& layers_of,
+                                   const auto& run_batch) {
+    if (!budgeted) {
+      run_batch(stale);
+      return;
+    }
+    std::vector<std::pair<std::vector<LayerKey>, std::vector<std::size_t>>>
+        groups;
+    for (const std::size_t ri : stale) {
+      std::vector<LayerKey> ls = layers_of(ri);
+      std::sort(ls.begin(), ls.end());
+      const auto it =
+          std::find_if(groups.begin(), groups.end(),
+                       [&](const auto& g) { return g.first == ls; });
+      if (it == groups.end()) {
+        groups.emplace_back(std::move(ls), std::vector<std::size_t>{ri});
+      } else {
+        it->second.push_back(ri);
+      }
+    }
+    for (const auto& [group_layers, batch] : groups) {
+      evict_keeping(group_layers);
+      run_batch(batch);
+    }
+  };
 
   // An incremental run may splice cached units only when the damage is
   // partial AND the caches describe the immediately preceding snapshot.
@@ -266,33 +297,10 @@ void run_flow_passes(DfmFlowReport& rep, const LayoutSnapshot& snap,
         caches.drc_rules[batch[i]] = std::move(fresh[i]);
       }
     };
-    if (!budgeted) {
-      run_rule_batch(stale_rules);
-    } else {
-      // Group the stale rules by their layer working set (deck order of
-      // first appearance); hydrate one group at a time, evicting down to
-      // the budget between groups. Each rule's result lands at its deck
-      // index, so the assembled violation list is identical to the
-      // single-batch path.
-      std::vector<std::pair<std::vector<LayerKey>, std::vector<std::size_t>>>
-          groups;
-      for (const std::size_t ri : stale_rules) {
-        std::vector<LayerKey> ls = rule_layers(deck.rules[ri]);
-        std::sort(ls.begin(), ls.end());
-        const auto it =
-            std::find_if(groups.begin(), groups.end(),
-                         [&](const auto& g) { return g.first == ls; });
-        if (it == groups.end()) {
-          groups.emplace_back(std::move(ls), std::vector<std::size_t>{ri});
-        } else {
-          it->second.push_back(ri);
-        }
-      }
-      for (const auto& [group_layers, batch] : groups) {
-        evict_keeping(group_layers);
-        run_rule_batch(batch);
-      }
-    }
+    run_rule_groups(
+        stale_rules,
+        [&](std::size_t ri) { return rule_layers(deck.rules[ri]); },
+        run_rule_batch);
     rep.drcplus.drc.violations.clear();
     for (const std::vector<Violation>& vs : caches.drc_rules) {
       rep.drcplus.drc.violations.insert(rep.drcplus.drc.violations.end(),
@@ -435,29 +443,9 @@ void run_flow_passes(DfmFlowReport& rep, const LayoutSnapshot& snap,
         caches.recommended_hits[batch[i]] = fresh[i];
       }
     };
-    if (!budgeted) {
-      run_rec_batch(stale);
-    } else {
-      // Same layer-set grouping as the DRC rules above.
-      std::vector<std::pair<std::vector<LayerKey>, std::vector<std::size_t>>>
-          groups;
-      for (const std::size_t ri : stale) {
-        std::vector<LayerKey> ls = rule_layers(rules[ri].rule);
-        std::sort(ls.begin(), ls.end());
-        const auto it =
-            std::find_if(groups.begin(), groups.end(),
-                         [&](const auto& g) { return g.first == ls; });
-        if (it == groups.end()) {
-          groups.emplace_back(std::move(ls), std::vector<std::size_t>{ri});
-        } else {
-          it->second.push_back(ri);
-        }
-      }
-      for (const auto& [group_layers, batch] : groups) {
-        evict_keeping(group_layers);
-        run_rec_batch(batch);
-      }
-    }
+    run_rule_groups(
+        stale, [&](std::size_t ri) { return rule_layers(rules[ri].rule); },
+        run_rec_batch);
     rep.recommended = assemble_recommended(rules, caches.recommended_hits);
     rep.scorecard.add("recommended", rep.recommended.compliance(), 1.0,
                       "rule compliance");
@@ -466,9 +454,10 @@ void run_flow_passes(DfmFlowReport& rep, const LayoutSnapshot& snap,
   }
 
   // 3. Litho hotspots (tile-simulated). Splice unit: one simulation
-  // tile; a tile is stale when the dirty region touches its core
-  // expanded by the optical halo. The cache is valid only while every
-  // run refreshes it, so a skipped pass invalidates it.
+  // tile; resimulate_hotspots re-runs the tiles whose optical halo the
+  // dirty region touches and offers them to the shards first. The cache
+  // is valid only while every run refreshes it, so a skipped pass
+  // invalidates it.
   // From here on the m1 view below stays live, so every keep set through
   // the caa pass includes kMetal1.
   evict_keeping({layers::kMetal1});
@@ -481,88 +470,11 @@ void run_flow_passes(DfmFlowReport& rep, const LayoutSnapshot& snap,
     sim.tile = options.litho_tile;
     sim.prefilter = options.litho_fast != LithoFastMode::kOff;
     const bool have = inc && caches.litho_valid;
-    // Distributed path: the coordinator mirrors the tiled run's
-    // bookkeeping exactly — same make_tiles grid, same 6-sigma stale
-    // selection, same fallback-to-full conditions — and outsources only
-    // the per-tile simulation. A declined batch falls through to the
-    // in-process engines, byte-identically either way (the snapshot
-    // density gate is a pure shortcut, see simulate_litho_tile).
-    bool sharded = false;
-    if (options.shards != nullptr) {
-      TELEM_SPAN("shard/litho");
-      HotspotTileSim next;
-      next.extent = m1.bbox();
-      next.tile = sim.tile;
-      next.tiles = make_tiles(next.extent, sim.tile);
-      std::vector<std::size_t> stale;
-      const bool carry = have && caches.litho.extent == next.extent &&
-                         caches.litho.tile == next.tile &&
-                         caches.litho.per_tile.size() ==
-                             caches.litho.tiles.size();
-      if (carry) {
-        next.per_tile = caches.litho.per_tile;
-        const Region dirty = damage.inc->dirty_region(layers::kMetal1);
-        const Coord margin = 6 * sim.model.sigma;
-        for (std::size_t ti = 0; ti < next.tiles.size(); ++ti) {
-          const Rect window = next.tiles[ti].expanded(margin);
-          for (const Rect& d : dirty.rects()) {
-            if (d.overlaps(window)) {
-              stale.push_back(ti);
-              break;
-            }
-          }
-        }
-      } else {
-        next.per_tile.resize(next.tiles.size());
-        stale.resize(next.tiles.size());
-        std::iota(stale.begin(), stale.end(), std::size_t{0});
-      }
-      std::vector<Rect> cores;
-      cores.reserve(stale.size());
-      for (const std::size_t ti : stale) cores.push_back(next.tiles[ti]);
-      std::vector<std::vector<Hotspot>> per_core(cores.size());
-      std::vector<char> skipflags(cores.size(), 0);
-      std::vector<char> handled(cores.size(), 0);
-      if (options.shards->shard_litho(cores, &per_core, &skipflags,
-                                      &handled)) {
-        // Declined cores (halo escapes every shard window) run through
-        // the same exported tile simulator the workers use.
-        std::vector<std::size_t> local;
-        for (std::size_t i = 0; i < cores.size(); ++i) {
-          if (handled[i] == 0) local.push_back(i);
-        }
-        if (!local.empty()) {
-          const PrefilterCalibration cal = resolve_litho_calibration(sim);
-          const PrefilterCalibration* calp = cal.valid ? &cal : nullptr;
-          const std::vector<std::vector<Hotspot>> redone = parallel_map(
-              pool, local.size(), [&](std::size_t i) {
-                bool skip = false;
-                auto hs = simulate_litho_tile(m1, cores[local[i]], sim, pool,
-                                              calp, skip);
-                skipflags[local[i]] = skip ? 1 : 0;
-                return hs;
-              });
-          for (std::size_t i = 0; i < local.size(); ++i) {
-            per_core[local[i]] = std::move(redone[i]);
-          }
-        }
-        for (std::size_t i = 0; i < stale.size(); ++i) {
-          next.per_tile[stale[i]] = std::move(per_core[i]);
-        }
-        next.recomputed = stale.size();
-        next.skipped = static_cast<std::size_t>(
-            std::count(skipflags.begin(), skipflags.end(), 1));
-        caches.litho = std::move(next);
-        sharded = true;
-      }
-    }
-    if (!sharded) {
-      caches.litho =
-          have ? resimulate_hotspots(snap, layers::kMetal1, m1.bbox(), sim,
-                                     caches.litho,
-                                     damage.inc->dirty_region(layers::kMetal1))
-               : simulate_hotspots_tiled(snap, layers::kMetal1, m1.bbox(), sim);
-    }
+    caches.litho = resimulate_hotspots(
+        snap, layers::kMetal1, m1.bbox(), sim,
+        have ? std::move(caches.litho) : HotspotTileSim{},
+        have ? damage.inc->dirty_region(layers::kMetal1) : Region{},
+        options.shards);
     caches.litho_valid = true;
     rep.hotspots = caches.litho.merged();
     rep.scorecard.add("litho", score_from_count(rep.hotspots.size()), 3.0,
@@ -747,10 +659,27 @@ std::size_t resolved_memory_budget(const DfmFlowOptions& options) {
   return 0;
 }
 
+namespace detail {
+
+void run_cold_flow(DfmFlowReport& rep, const DfmFlowOptions& options,
+                   ThreadPool* pool, FlowCaches& caches,
+                   const std::function<const LayoutSnapshot&()>& build) {
+  const auto t0 = Clock::now();
+  telemetry::Span flow_span("flow");
+  const std::uint64_t snap_t0_ns = telemetry::now_ns();
+  const LayoutSnapshot& snap = build();
+  telemetry::record_span("flow/snapshot", snap_t0_ns, telemetry::now_ns());
+  rep.trace.passes.push_back(
+      PassTrace{"snapshot", ms_since(t0), snap.layer_keys().size()});
+  run_flow_passes(rep, snap, options, pool, caches, FlowDamage{}, nullptr);
+  rep.trace.total_ms = ms_since(t0);
+}
+
+}  // namespace detail
+
 DfmFlowReport run_dfm_flow(const Library& lib, std::uint32_t top,
                            const DfmFlowOptions& options) {
-  const std::size_t budget = resolved_memory_budget(options);
-  if (budget != 0) {
+  if (resolved_memory_budget(options) != 0) {
     // Out-of-core path over the in-memory library. The source only
     // aliases `lib` (the caller keeps it alive for the duration of the
     // call), so the shared_ptr carries no ownership.
@@ -760,69 +689,50 @@ DfmFlowReport run_dfm_flow(const Library& lib, std::uint32_t top,
             top),
         options);
   }
-
-  DfmFlowReport rep;
-  const auto t0 = Clock::now();
-  telemetry::Span flow_span("flow");
-  const PassPool pool(options);
-
   // Build the shared substrate once: flatten every flow layer (one task
   // per layer) and normalize by construction.
-  const auto snap_t0 = Clock::now();
-  const std::uint64_t snap_t0_ns = telemetry::now_ns();
-  const LayoutSnapshot snap(lib, top, pool);
-  telemetry::record_span("flow/snapshot", snap_t0_ns, telemetry::now_ns());
-  rep.trace.passes.push_back(
-      PassTrace{"snapshot", ms_since(snap_t0), snap.layer_keys().size()});
-
+  DfmFlowReport rep;
+  const PassPool pool(options);
   FlowCaches caches;
-  detail::run_flow_passes(rep, snap, options, pool, caches, FlowDamage{},
-                          nullptr);
-  rep.trace.total_ms = ms_since(t0);
+  std::optional<LayoutSnapshot> snap;
+  detail::run_cold_flow(rep, options, pool, caches,
+                        [&]() -> const LayoutSnapshot& {
+                          return snap.emplace(lib, top, pool);
+                        });
   return rep;
 }
 
 DfmFlowReport run_dfm_flow(std::shared_ptr<const SnapshotSource> source,
                            const DfmFlowOptions& options) {
-  DfmFlowReport rep;
-  const auto t0 = Clock::now();
-  telemetry::Span flow_span("flow");
-  const PassPool pool(options);
-
   // The lazy snapshot only scans per-layer bboxes up front; geometry
   // hydrates on first touch inside the passes, so the "snapshot" row
   // records just the index scan.
-  const auto snap_t0 = Clock::now();
-  const std::uint64_t snap_t0_ns = telemetry::now_ns();
-  const LayoutSnapshot snap(std::move(source),
-                            LayoutSnapshot::standard_flow_layers());
-  snap.budget().set_limit(resolved_memory_budget(options));
-  telemetry::record_span("flow/snapshot", snap_t0_ns, telemetry::now_ns());
-  rep.trace.passes.push_back(
-      PassTrace{"snapshot", ms_since(snap_t0), snap.layer_keys().size()});
-
+  DfmFlowReport rep;
+  const PassPool pool(options);
   FlowCaches caches;
-  detail::run_flow_passes(rep, snap, options, pool, caches, FlowDamage{},
-                          nullptr);
-  rep.trace.total_ms = ms_since(t0);
+  std::optional<LayoutSnapshot> snap;
+  detail::run_cold_flow(
+      rep, options, pool, caches, [&]() -> const LayoutSnapshot& {
+        snap.emplace(std::move(source), LayoutSnapshot::standard_flow_layers());
+        snap->budget().set_limit(resolved_memory_budget(options));
+        return *snap;
+      });
   return rep;
 }
 
 DfmFlowReport run_dfm_flow(const LayoutSnapshot& snap,
                            const DfmFlowOptions& options) {
   DfmFlowReport rep;
-  const auto t0 = Clock::now();
-  telemetry::Span flow_span("flow");
   const PassPool pool(options);
-  if (const std::size_t budget = resolved_memory_budget(options)) {
-    snap.budget().set_limit(budget);
-  }
-  rep.trace.passes.push_back(
-      PassTrace{"snapshot", 0.0, snap.layer_keys().size()});
   FlowCaches caches;
-  detail::run_flow_passes(rep, snap, options, pool, caches, FlowDamage{},
-                          nullptr);
-  rep.trace.total_ms = ms_since(t0);
+  detail::run_cold_flow(rep, options, pool, caches,
+                        [&]() -> const LayoutSnapshot& {
+                          if (const std::size_t b =
+                                  resolved_memory_budget(options)) {
+                            snap.budget().set_limit(b);
+                          }
+                          return snap;
+                        });
   return rep;
 }
 

@@ -1,12 +1,14 @@
 #include "core/hotspot_flow.h"
 
 #include "core/parallel.h"
+#include "core/shard_backend.h"
 #include "core/snapshot.h"
 #include "core/telemetry.h"
 #include "geometry/rtree.h"
 #include "litho/prefilter.h"
 
 #include <algorithm>
+#include <numeric>
 
 namespace dfm {
 namespace {
@@ -64,17 +66,6 @@ std::vector<HotspotMatch> scan_impl(const std::vector<Rect>& rects,
   return out;
 }
 
-// Resolves the prefilter calibration a tiled run should use; an invalid
-// calibration (returned when the prefilter is off or unprovable for
-// this model) disables skipping entirely.
-PrefilterCalibration resolve_calibration(const HotspotSimOptions& options) {
-  if (!options.prefilter) return {};
-  return prefilter_calibration(options.model, options.edge_tolerance,
-                               options.prefilter_window.empty()
-                                   ? default_process_window()
-                                   : options.prefilter_window);
-}
-
 // Density-grid gate (snapshot path only): true when every grid cell the
 // simulation window touches has zero coverage, i.e. the clip is provably
 // empty before it is even built. Cells outside the analysed area hold no
@@ -98,12 +89,9 @@ bool density_gate_empty(const DensityMap& dm, const Rect& window) {
   return true;
 }
 
-// One tile of the tiled simulation: clip the layer to the 6-sigma halo
-// window around the core, simulate, and keep only the hotspots this core
-// owns (marker center inside the core) so tiling never double-reports.
-// With a valid calibration, tiles the prefilter proves hotspot-free skip
-// the simulation (their owned-hotspot list is provably empty, so the
-// merged output is unchanged); `skipped` reports that outcome.
+// One tile of simulate_tiles. With a valid calibration, a tile the
+// prefilter proves hotspot-free skips the simulation (its owned-hotspot
+// list is provably empty, so the merged output is unchanged).
 std::vector<Hotspot> simulate_tile(const NormalizedRegion& layer,
                                    const Rect& core,
                                    const HotspotSimOptions& options,
@@ -135,72 +123,72 @@ std::vector<Hotspot> simulate_tile(const NormalizedRegion& layer,
   return local;
 }
 
-// Shared core of the region/snapshot overloads of the cold tiled run.
-HotspotTileSim tiled_impl(const NormalizedRegion& layer, const DensityMap* dm,
-                          const Rect& extent,
-                          const HotspotSimOptions& options) {
+// The driver behind both public entry points; `snap` (null on the
+// region path) supplies the density grid, built only for local cores.
+HotspotTileSim drive_tiles(const NormalizedRegion& layer,
+                           const LayoutSnapshot* snap, LayerKey key,
+                           const Rect& extent, const HotspotSimOptions& options,
+                           HotspotTileSim prev, const Region& dirty,
+                           ShardBackend* shards) {
   HotspotTileSim sim;
   sim.extent = extent;
   sim.tile = options.tile;
   if (extent.is_empty()) return sim;
   sim.tiles = make_tiles(extent, options.tile);
-  const PrefilterCalibration cal = resolve_calibration(options);
-  const PrefilterCalibration* calp = cal.valid ? &cal : nullptr;
-  const PassPool pool(options);
-  std::vector<char> skipped(sim.tiles.size(), 0);
-  sim.per_tile = parallel_map(pool, sim.tiles.size(), [&](std::size_t ti) {
-    TELEM_SPAN_ARG("litho/tile", ti);
-    bool skip = false;
-    auto local =
-        simulate_tile(layer, sim.tiles[ti], options, pool, calp, dm, skip);
-    skipped[ti] = skip ? 1 : 0;
-    return local;
-  });
-  sim.recomputed = sim.tiles.size();
-  sim.skipped = static_cast<std::size_t>(
-      std::count(skipped.begin(), skipped.end(), 1));
-  return sim;
-}
-
-// Shared core of the region/snapshot overloads of the incremental run.
-HotspotTileSim resim_impl(const NormalizedRegion& layer, const DensityMap* dm,
-                          const Rect& extent, const HotspotSimOptions& options,
-                          const HotspotTileSim& prev, const Region& dirty) {
-  if (prev.extent != extent || prev.tile != options.tile ||
-      prev.per_tile.size() != prev.tiles.size()) {
-    return tiled_impl(layer, dm, extent, options);
-  }
-  HotspotTileSim sim;
-  sim.extent = extent;
-  sim.tile = options.tile;
-  sim.tiles = prev.tiles;
-  sim.per_tile = prev.per_tile;
-  const Coord margin = 6 * options.model.sigma;
   std::vector<std::size_t> stale;
-  for (std::size_t ti = 0; ti < sim.tiles.size(); ++ti) {
-    const Rect window = sim.tiles[ti].expanded(margin);
-    for (const Rect& d : dirty.rects()) {
-      if (d.overlaps(window)) {
-        stale.push_back(ti);
-        break;
+  if (prev.extent == extent && prev.tile == options.tile &&
+      prev.per_tile.size() == sim.tiles.size()) {
+    sim.per_tile = std::move(prev.per_tile);
+    const Coord margin = 6 * options.model.sigma;
+    for (std::size_t ti = 0; ti < sim.tiles.size(); ++ti) {
+      const Rect window = sim.tiles[ti].expanded(margin);
+      for (const Rect& d : dirty.rects()) {
+        if (d.overlaps(window)) {
+          stale.push_back(ti);
+          break;
+        }
       }
     }
+  } else {
+    sim.per_tile.resize(sim.tiles.size());
+    stale.resize(sim.tiles.size());
+    std::iota(stale.begin(), stale.end(), std::size_t{0});
   }
-  const PrefilterCalibration cal = resolve_calibration(options);
-  const PrefilterCalibration* calp = cal.valid ? &cal : nullptr;
-  const PassPool pool(options);
-  std::vector<char> skipped(stale.size(), 0);
-  std::vector<std::vector<Hotspot>> redone =
-      parallel_map(pool, stale.size(), [&](std::size_t si) {
-        TELEM_SPAN_ARG("litho/tile", stale[si]);
-        bool skip = false;
-        auto local = simulate_tile(layer, sim.tiles[stale[si]], options, pool,
-                                   calp, dm, skip);
-        skipped[si] = skip ? 1 : 0;
-        return local;
-      });
-  for (std::size_t si = 0; si < stale.size(); ++si) {
-    sim.per_tile[stale[si]] = std::move(redone[si]);
+
+  std::vector<Rect> cores;
+  cores.reserve(stale.size());
+  for (const std::size_t ti : stale) cores.push_back(sim.tiles[ti]);
+  std::vector<std::vector<Hotspot>> per_core(cores.size());
+  std::vector<char> skipped(cores.size(), 0);
+  std::vector<char> handled(cores.size(), 0);
+  if (shards != nullptr && !cores.empty()) {
+    TELEM_SPAN("shard/litho");
+    shards->shard_litho(cores, &per_core, &skipped, &handled);
+  }
+  // Cores the shards declined (a halo escaping every shard window, or
+  // no shards at all) simulate here, in stale order.
+  std::vector<std::size_t> local;
+  std::vector<Rect> local_cores;
+  for (std::size_t i = 0; i < cores.size(); ++i) {
+    if (handled[i] != 0) continue;
+    local.push_back(i);
+    local_cores.push_back(cores[i]);
+  }
+  if (!local.empty()) {
+    const DensityMap* dm = nullptr;
+    if (snap != nullptr && options.prefilter && snap->has(key)) {
+      dm = &snap->density(key, options.tile);
+    }
+    std::vector<char> local_skipped;
+    std::vector<std::vector<Hotspot>> redone =
+        simulate_tiles(layer, dm, local_cores, options, local_skipped);
+    for (std::size_t j = 0; j < local.size(); ++j) {
+      per_core[local[j]] = std::move(redone[j]);
+      skipped[local[j]] = local_skipped[j];
+    }
+  }
+  for (std::size_t i = 0; i < stale.size(); ++i) {
+    sim.per_tile[stale[i]] = std::move(per_core[i]);
   }
   sim.recomputed = stale.size();
   sim.skipped = static_cast<std::size_t>(
@@ -208,30 +196,31 @@ HotspotTileSim resim_impl(const NormalizedRegion& layer, const DensityMap* dm,
   return sim;
 }
 
-// The snapshot overloads gate on the memoized density grid only when the
-// prefilter is active: prefilter-off must stay byte-for-byte the
-// historical path.
-const DensityMap* density_for(const LayoutSnapshot& snap, LayerKey layer,
-                              const HotspotSimOptions& options) {
-  if (!options.prefilter) return nullptr;
-  if (!snap.has(layer)) return nullptr;
-  return &snap.density(layer, options.tile);
-}
-
 }  // namespace
 
-std::vector<Hotspot> simulate_litho_tile(const NormalizedRegion& layer,
-                                         const Rect& core,
-                                         const HotspotSimOptions& options,
-                                         ThreadPool* pool,
-                                         const PrefilterCalibration* cal,
-                                         bool& skipped) {
-  return simulate_tile(layer, core, options, pool, cal, nullptr, skipped);
-}
-
-PrefilterCalibration resolve_litho_calibration(
-    const HotspotSimOptions& options) {
-  return resolve_calibration(options);
+std::vector<std::vector<Hotspot>> simulate_tiles(
+    const NormalizedRegion& layer, const DensityMap* dm,
+    const std::vector<Rect>& cores, const HotspotSimOptions& options,
+    std::vector<char>& skipped) {
+  // An invalid calibration (prefilter off, or unprovable for this model)
+  // disables skipping; prefilter_calibration is memoized per process.
+  PrefilterCalibration cal;
+  if (options.prefilter) {
+    cal = prefilter_calibration(options.model, options.edge_tolerance,
+                                options.prefilter_window.empty()
+                                    ? default_process_window()
+                                    : options.prefilter_window);
+  }
+  const PrefilterCalibration* calp = cal.valid ? &cal : nullptr;
+  const PassPool pool(options);
+  skipped.assign(cores.size(), 0);
+  return parallel_map(pool, cores.size(), [&](std::size_t i) {
+    TELEM_SPAN_ARG("litho/tile", i);
+    bool skip = false;
+    auto local = simulate_tile(layer, cores[i], options, pool, calp, dm, skip);
+    skipped[i] = skip ? 1 : 0;
+    return local;
+  });
 }
 
 std::vector<Hotspot> HotspotTileSim::merged() const {
@@ -245,30 +234,23 @@ std::vector<Hotspot> HotspotTileSim::merged() const {
 HotspotTileSim simulate_hotspots_tiled(NormalizedRegion layer,
                                        const Rect& extent,
                                        const HotspotSimOptions& options) {
-  return tiled_impl(layer, nullptr, extent, options);
+  return drive_tiles(layer, nullptr, LayerKey{}, extent, options, {}, {},
+                     nullptr);
 }
 
 HotspotTileSim simulate_hotspots_tiled(const LayoutSnapshot& snap,
                                        LayerKey layer, const Rect& extent,
                                        const HotspotSimOptions& options) {
-  return tiled_impl(snap.layer(layer), density_for(snap, layer, options),
-                    extent, options);
-}
-
-HotspotTileSim resimulate_hotspots(NormalizedRegion layer, const Rect& extent,
-                                   const HotspotSimOptions& options,
-                                   const HotspotTileSim& prev,
-                                   const Region& dirty) {
-  return resim_impl(layer, nullptr, extent, options, prev, dirty);
+  return resimulate_hotspots(snap, layer, extent, options, {}, {});
 }
 
 HotspotTileSim resimulate_hotspots(const LayoutSnapshot& snap, LayerKey layer,
                                    const Rect& extent,
                                    const HotspotSimOptions& options,
-                                   const HotspotTileSim& prev,
-                                   const Region& dirty) {
-  return resim_impl(snap.layer(layer), density_for(snap, layer, options),
-                    extent, options, prev, dirty);
+                                   HotspotTileSim prev, const Region& dirty,
+                                   ShardBackend* shards) {
+  return drive_tiles(snap.layer(layer), &snap, layer, extent, options,
+                     std::move(prev), dirty, shards);
 }
 
 std::vector<Hotspot> simulate_hotspots(NormalizedRegion layer,

@@ -101,29 +101,23 @@ struct HotspotTileSim {
   std::vector<Hotspot> merged() const;
 };
 
-struct PrefilterCalibration;  // litho/prefilter.h
+struct DensityMap;    // layout/density.h
+class ShardBackend;  // core/shard_backend.h
 
-/// One tile of the tiled simulation, exported for the shard worker: clip
-/// `layer` to the 6-sigma halo window around `core`, simulate, and keep
-/// only hotspots whose marker center lies in `core`. `cal` (may be null)
-/// is the prefilter calibration from litho_tile_calibration; a provably
-/// hotspot-free tile skips simulation and sets `skipped`. Byte-identical
-/// to the tile the in-process tiled run produces for the same core — the
-/// snapshot path's density gate is a pure shortcut for "clip empty" and
-/// never changes output or `skipped`.
-std::vector<Hotspot> simulate_litho_tile(const NormalizedRegion& layer,
-                                         const Rect& core,
-                                         const HotspotSimOptions& options,
-                                         ThreadPool* pool,
-                                         const PrefilterCalibration* cal,
-                                         bool& skipped);
-
-/// The prefilter calibration a tiled run with `options` uses; invalid
-/// (never skips) when the prefilter is off, forced off by kOff, or
-/// unprovable for this model. Pure in (model, edge_tolerance,
-/// prefilter_window), so a worker process reproduces the coordinator's
-/// calibration from the serialized options alone.
-PrefilterCalibration resolve_litho_calibration(const HotspotSimOptions& options);
+/// One batch of tiles of the tiled simulation, in the order given: for
+/// each core, clip `layer` to the 6-sigma halo window around it,
+/// simulate, and keep only the hotspots whose marker center lies in the
+/// core, so tiling never double-reports. Cores run concurrently on the
+/// options pool and out[i] belongs to cores[i], so the result is
+/// thread-count invariant. With the prefilter on, a core proven
+/// hotspot-free skips simulation and sets skipped[i]. `dm` (may be null)
+/// is a density grid whose all-zero windows skip even the clip: a pure
+/// shortcut that never changes output or `skipped`. The tile driver and
+/// the shard worker both simulate through this function.
+std::vector<std::vector<Hotspot>> simulate_tiles(
+    const NormalizedRegion& layer, const DensityMap* dm,
+    const std::vector<Rect>& cores, const HotspotSimOptions& options,
+    std::vector<char>& skipped);
 
 /// Simulates every tile of `extent`. Tiles run concurrently on the
 /// options pool; each tile's hotspot list is independent of the others
@@ -132,35 +126,29 @@ HotspotTileSim simulate_hotspots_tiled(NormalizedRegion layer,
                                        const Rect& extent,
                                        const HotspotSimOptions& options);
 
-/// Snapshot-native tiled simulation: additionally consults the
-/// snapshot's memoized density grid (at the simulation tile pitch) as a
-/// zero-cost first prefilter stage — tiles whose halo window covers
-/// only zero-density cells are provably empty and skip even the clip.
-/// Hotspot output is bit-identical to the region overload.
+/// Snapshot-native tiled simulation: resimulate_hotspots with no
+/// previous run, so every tile is stale.
 HotspotTileSim simulate_hotspots_tiled(const LayoutSnapshot& snap,
                                        LayerKey layer, const Rect& extent,
                                        const HotspotSimOptions& options);
 
-/// Re-simulates only the tiles whose simulation window — the tile core
-/// expanded by the 6-sigma optical halo — intersects `dirty`; every
-/// other tile's list is carried over from `prev`. A tile's output
-/// depends only on the layer clipped to that window, so the result is
-/// bit-identical to simulate_hotspots_tiled over the edited layer.
-/// Falls back to a full run when extent or tile size changed.
-HotspotTileSim resimulate_hotspots(NormalizedRegion layer, const Rect& extent,
-                                   const HotspotSimOptions& options,
-                                   const HotspotTileSim& prev,
-                                   const Region& dirty);
-
-/// Snapshot-native incremental re-simulation: stale tiles go through the
-/// same density-gate + prefilter + convolution path as the snapshot
-/// overload of simulate_hotspots_tiled, so a splice is bit-identical to
-/// the cold snapshot run with the prefilter on or off.
+/// The litho tile driver behind every tiled run, cold or incremental,
+/// local or sharded. When `prev` covers the same extent and tile, the
+/// stale tiles are those whose simulation window (the core expanded by
+/// the 6-sigma optical halo) meets `dirty`, and every other tile's list
+/// moves over from `prev`; otherwise every tile is stale. A tile's
+/// output depends only on the layer clipped to its window, so a splice
+/// is bit-identical to the cold run. Stale cores are offered to
+/// `shards` first (ShardBackend::shard_litho); the cores it declines go
+/// through simulate_tiles, with the snapshot's memoized density grid at
+/// the tile pitch as the zero-cost first gate when the prefilter is on.
+/// The grid and the prefilter calibration are built only when some core
+/// runs here.
 HotspotTileSim resimulate_hotspots(const LayoutSnapshot& snap, LayerKey layer,
                                    const Rect& extent,
                                    const HotspotSimOptions& options,
-                                   const HotspotTileSim& prev,
-                                   const Region& dirty);
+                                   HotspotTileSim prev, const Region& dirty,
+                                   ShardBackend* shards = nullptr);
 
 /// Simulates in tiles (bounded raster size) and returns all hotspots.
 /// Tiles run concurrently on the pool; per-tile results are merged in

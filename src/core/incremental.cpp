@@ -1,7 +1,6 @@
 #include "core/incremental.h"
 
 #include "core/shard_backend.h"
-#include "core/telemetry.h"
 #include "layout/library.h"
 
 #include <chrono>
@@ -22,64 +21,53 @@ double ms_since(Clock::time_point start) {
 DfmFlowSession::DfmFlowSession(const Library& lib, std::uint32_t top,
                                DfmFlowOptions options)
     : options_(std::move(options)), pool_(options_) {
-  const auto t0 = Clock::now();
-  telemetry::Span flow_span("flow");
-  const std::uint64_t snap_t0 = telemetry::now_ns();
-  if (const std::size_t budget = resolved_memory_budget(options_)) {
+  run_cold([&] {
+    const std::size_t budget = resolved_memory_budget(options_);
+    if (budget == 0) {
+      return std::make_unique<LayoutSnapshot>(lib, top, pool_.get());
+    }
     // Out-of-core mode: snapshot hydrates lazily from a copy of the
     // library (the session outlives the caller's reference) and evicts
     // at pass boundaries to stay under `budget`.
-    snap_ = std::make_unique<LayoutSnapshot>(
+    auto snap = std::make_unique<LayoutSnapshot>(
         std::make_shared<LibrarySource>(std::make_shared<Library>(lib), top),
         LayoutSnapshot::standard_flow_layers());
-    snap_->budget().set_limit(budget);
-  } else {
-    snap_ = std::make_unique<LayoutSnapshot>(lib, top, pool_.get());
-  }
-  telemetry::record_span("flow/snapshot", snap_t0, telemetry::now_ns());
-  report_.trace.passes.push_back(
-      PassTrace{"snapshot", ms_since(t0), snap_->layer_keys().size()});
-  run_cold();
-  report_.trace.total_ms = ms_since(t0);
+    snap->budget().set_limit(budget);
+    return snap;
+  });
 }
 
 DfmFlowSession::DfmFlowSession(LayerMap layers, DfmFlowOptions options)
     : options_(std::move(options)), pool_(options_) {
-  const auto t0 = Clock::now();
-  telemetry::Span flow_span("flow");
-  const std::uint64_t snap_t0 = telemetry::now_ns();
-  snap_ = std::make_unique<LayoutSnapshot>(std::move(layers));
-  // Eager snapshots can't drop geometry, but their derived products are
-  // still evictable under a budget.
-  if (const std::size_t budget = resolved_memory_budget(options_)) {
-    snap_->budget().set_limit(budget);
-  }
-  telemetry::record_span("flow/snapshot", snap_t0, telemetry::now_ns());
-  report_.trace.passes.push_back(
-      PassTrace{"snapshot", ms_since(t0), snap_->layer_keys().size()});
-  run_cold();
-  report_.trace.total_ms = ms_since(t0);
+  run_cold([&] {
+    auto snap = std::make_unique<LayoutSnapshot>(std::move(layers));
+    // Eager snapshots can't drop geometry, but their derived products are
+    // still evictable under a budget.
+    if (const std::size_t budget = resolved_memory_budget(options_)) {
+      snap->budget().set_limit(budget);
+    }
+    return snap;
+  });
 }
 
 DfmFlowSession::DfmFlowSession(std::shared_ptr<const SnapshotSource> source,
                                DfmFlowOptions options)
     : options_(std::move(options)), pool_(options_) {
-  const auto t0 = Clock::now();
-  telemetry::Span flow_span("flow");
-  const std::uint64_t snap_t0 = telemetry::now_ns();
-  snap_ = std::make_unique<LayoutSnapshot>(
-      std::move(source), LayoutSnapshot::standard_flow_layers());
-  snap_->budget().set_limit(resolved_memory_budget(options_));
-  telemetry::record_span("flow/snapshot", snap_t0, telemetry::now_ns());
-  report_.trace.passes.push_back(
-      PassTrace{"snapshot", ms_since(t0), snap_->layer_keys().size()});
-  run_cold();
-  report_.trace.total_ms = ms_since(t0);
+  run_cold([&] {
+    auto snap = std::make_unique<LayoutSnapshot>(
+        std::move(source), LayoutSnapshot::standard_flow_layers());
+    snap->budget().set_limit(resolved_memory_budget(options_));
+    return snap;
+  });
 }
 
-void DfmFlowSession::run_cold() {
-  detail::run_flow_passes(report_, *snap_, options_, pool_.get(), caches_,
-                          FlowDamage{}, nullptr);
+void DfmFlowSession::run_cold(
+    const std::function<std::unique_ptr<LayoutSnapshot>()>& make) {
+  detail::run_cold_flow(report_, options_, pool_.get(), caches_,
+                        [&]() -> const LayoutSnapshot& {
+                          snap_ = make();
+                          return *snap_;
+                        });
 }
 
 const DfmFlowReport& DfmFlowSession::apply(const LayoutDelta& delta) {

@@ -28,6 +28,7 @@
 #include "core/delta.h"
 #include "core/dfm_flow.h"
 
+#include <functional>
 #include <map>
 #include <memory>
 
@@ -74,6 +75,15 @@ void run_flow_passes(DfmFlowReport& rep, const LayoutSnapshot& snap,
                      const DfmFlowOptions& options, ThreadPool* pool,
                      FlowCaches& caches, const FlowDamage& damage,
                      const DfmFlowReport* prev);
+
+/// The cold-run body of run_dfm_flow and the DfmFlowSession
+/// constructors: opens the "flow" span, calls `build` under a nested
+/// "flow/snapshot" span (recorded as the "snapshot" trace row), runs
+/// every pass over the snapshot it returns with full damage, and stamps
+/// total_ms. The snapshot must outlive the call.
+void run_cold_flow(DfmFlowReport& rep, const DfmFlowOptions& options,
+                   ThreadPool* pool, FlowCaches& caches,
+                   const std::function<const LayoutSnapshot&()>& build);
 }  // namespace detail
 
 /// The fix -> recheck loop: build once, edit cheaply.
@@ -110,7 +120,8 @@ class DfmFlowSession {
   const DfmFlowReport& apply(const LayoutDelta& delta);
 
  private:
-  void run_cold();
+  /// detail::run_cold_flow over the snapshot `make` builds into snap_.
+  void run_cold(const std::function<std::unique_ptr<LayoutSnapshot>()>& make);
 
   DfmFlowOptions options_;
   PassPool pool_;

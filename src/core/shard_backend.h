@@ -64,7 +64,7 @@ class ShardBackend {
   /// Distributed litho tile simulation. `cores` are the stale tile
   /// cores (make_tiles order); a handled core's per_core[i] receives
   /// the hotspots the core owns and skipped[i] the prefilter outcome,
-  /// exactly as simulate_litho_tile reports them. A core whose 6-sigma
+  /// exactly as simulate_tiles reports them. A core whose 6-sigma
   /// simulation window escapes every shard window is declined
   /// (handled[i] stays false) and the flow simulates it locally.
   /// Returns false to decline the whole batch.

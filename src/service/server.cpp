@@ -823,126 +823,98 @@ Json ServiceServer::op_open(std::uint64_t id, const Json& req) {
   return make_ok(id, std::move(fields));
 }
 
-Json ServiceServer::op_edit(std::uint64_t id, const Json& req) {
+Json ServiceServer::session_op(std::uint64_t id, const Json& req,
+                               const char* op,
+                               const std::function<SessionWork()>& prepare) {
   const std::string sid = req.get_string("session", "");
   const auto session = find_session(sid);
   if (!session) {
     throw ProtocolError(errc::kUnknownSession,
-                        "edit: unknown session '" + sid + "'");
+                        std::string(op) + ": unknown session '" + sid + "'");
   }
-  const Json* edits = req.find("edits");
-  if (edits == nullptr) {
-    throw ProtocolError(errc::kBadRequest, "edit: missing \"edits\"");
-  }
-  // One edit request = one LayoutDelta = one incremental splice, exactly
-  // like one DfmFlowSession::apply() call.
-  LayoutDelta delta;
-  for (const Json& item : edits->as_array()) {
-    const LayerKey layer = layer_from_name(item.get_string("layer", ""));
-    const Json* r = item.find("rect");
-    if (r == nullptr || !r->is_array() || r->as_array().size() != 4) {
-      throw ProtocolError(errc::kBadRequest,
-                          "edit: \"rect\" must be [x0,y0,x1,y1]");
-    }
-    const Json::Array& c = r->as_array();
-    const Rect rect{c[0].as_int(), c[1].as_int(), c[2].as_int(),
-                    c[3].as_int()};
-    if (rect.is_empty()) {
-      throw ProtocolError(errc::kBadRequest, "edit: empty rect");
-    }
-    if (item.get_bool("remove", false)) {
-      delta.remove(layer, rect);
-    } else {
-      delta.add(layer, rect);
-    }
-  }
-
-  std::string report;
+  const SessionWork work = prepare();
+  Json::Object fields;
   {
     std::lock_guard<std::mutex> slock(session->mu);
     if (!session->flow) {
-      throw ProtocolError(errc::kUnknownSession,
-                          "edit: session '" + sid + "' is gone");
+      throw ProtocolError(errc::kUnknownSession, std::string(op) +
+                                                     ": session '" + sid +
+                                                     "' is gone");
     }
-    const DfmFlowReport& rep = session->flow->apply(delta);
-    report = flow_report_canonical_json(rep);
+    if (work) work(*session->flow, fields);
+    fields["report"] =
+        Json(flow_report_canonical_json(session->flow->report()));
     session->touch();
   }
-  Json::Object fields;
   fields["session"] = Json(sid);
-  fields["report"] = Json(std::move(report));
   return make_ok(id, std::move(fields));
+}
+
+Json ServiceServer::op_edit(std::uint64_t id, const Json& req) {
+  return session_op(id, req, "edit", [&]() -> SessionWork {
+    const Json* edits = req.find("edits");
+    if (edits == nullptr) {
+      throw ProtocolError(errc::kBadRequest, "edit: missing \"edits\"");
+    }
+    // One edit request = one LayoutDelta = one incremental splice,
+    // exactly like one DfmFlowSession::apply() call.
+    LayoutDelta delta;
+    for (const Json& item : edits->as_array()) {
+      const LayerKey layer = layer_from_name(item.get_string("layer", ""));
+      const Json* r = item.find("rect");
+      if (r == nullptr || !r->is_array() || r->as_array().size() != 4) {
+        throw ProtocolError(errc::kBadRequest,
+                            "edit: \"rect\" must be [x0,y0,x1,y1]");
+      }
+      const Json::Array& c = r->as_array();
+      const Rect rect{c[0].as_int(), c[1].as_int(), c[2].as_int(),
+                      c[3].as_int()};
+      if (rect.is_empty()) {
+        throw ProtocolError(errc::kBadRequest, "edit: empty rect");
+      }
+      if (item.get_bool("remove", false)) {
+        delta.remove(layer, rect);
+      } else {
+        delta.add(layer, rect);
+      }
+    }
+    return [delta = std::move(delta)](DfmFlowSession& flow, Json::Object&) {
+      flow.apply(delta);
+    };
+  });
 }
 
 Json ServiceServer::op_flow(std::uint64_t id, const Json& req) {
-  const std::string sid = req.get_string("session", "");
-  const auto session = find_session(sid);
-  if (!session) {
-    throw ProtocolError(errc::kUnknownSession,
-                        "flow: unknown session '" + sid + "'");
-  }
-  std::string report;
-  {
-    std::lock_guard<std::mutex> slock(session->mu);
-    if (!session->flow) {
-      throw ProtocolError(errc::kUnknownSession,
-                          "flow: session '" + sid + "' is gone");
-    }
-    report = flow_report_canonical_json(session->flow->report());
-    session->touch();
-  }
-  Json::Object fields;
-  fields["session"] = Json(sid);
-  fields["report"] = Json(std::move(report));
-  return make_ok(id, std::move(fields));
+  return session_op(id, req, "flow", [] { return SessionWork{}; });
 }
 
 Json ServiceServer::op_fix(std::uint64_t id, const Json& req) {
-  const std::string sid = req.get_string("session", "");
-  const auto session = find_session(sid);
-  if (!session) {
-    throw ProtocolError(errc::kUnknownSession,
-                        "fix: unknown session '" + sid + "'");
-  }
-  // Per-request overrides layered over the server's configured defaults
-  // (`dfmkit serve --fix-*`), exactly how "open" treats passes/litho_tile.
-  FixOptions fo = options_.flow.fix;
-  const std::int64_t max_iters = req.get_int("max_iters", fo.max_iters);
-  if (max_iters < 0 || max_iters > 1000) {
-    throw ProtocolError(errc::kBadRequest, "fix: bad \"max_iters\"");
-  }
-  fo.max_iters = static_cast<int>(max_iters);
-  if (const Json* g = req.find("min_gain")) fo.min_gain = g->as_double();
-  if (const Json* m = req.find("moves")) {
-    fo.moves.clear();
-    for (const Json& e : m->as_array()) {
-      const std::string& name = e.as_string();
-      if (!parse_fix_kind(name)) {
-        throw ProtocolError(errc::kBadRequest,
-                            "fix: unknown move '" + name + "'");
+  return session_op(id, req, "fix", [&]() -> SessionWork {
+    // Per-request overrides layered over the server's configured
+    // defaults (`dfmkit serve --fix-*`), exactly how "open" treats
+    // passes/litho_tile.
+    FixOptions fo = options_.flow.fix;
+    const std::int64_t max_iters = req.get_int("max_iters", fo.max_iters);
+    if (max_iters < 0 || max_iters > 1000) {
+      throw ProtocolError(errc::kBadRequest, "fix: bad \"max_iters\"");
+    }
+    fo.max_iters = static_cast<int>(max_iters);
+    if (const Json* g = req.find("min_gain")) fo.min_gain = g->as_double();
+    if (const Json* m = req.find("moves")) {
+      fo.moves.clear();
+      for (const Json& e : m->as_array()) {
+        const std::string& name = e.as_string();
+        if (!parse_fix_kind(name)) {
+          throw ProtocolError(errc::kBadRequest,
+                              "fix: unknown move '" + name + "'");
+        }
+        fo.moves.push_back(name);
       }
-      fo.moves.push_back(name);
     }
-  }
-
-  std::string outcome;
-  std::string report;
-  {
-    std::lock_guard<std::mutex> slock(session->mu);
-    if (!session->flow) {
-      throw ProtocolError(errc::kUnknownSession,
-                          "fix: session '" + sid + "' is gone");
-    }
-    const FixOutcome out = FixEngine::fix(*session->flow, fo);
-    outcome = fix_outcome_json(out);
-    report = flow_report_canonical_json(session->flow->report());
-    session->touch();
-  }
-  Json::Object fields;
-  fields["session"] = Json(sid);
-  fields["outcome"] = Json(std::move(outcome));
-  fields["report"] = Json(std::move(report));
-  return make_ok(id, std::move(fields));
+    return [fo](DfmFlowSession& flow, Json::Object& fields) {
+      fields["outcome"] = Json(fix_outcome_json(FixEngine::fix(flow, fo)));
+    };
+  });
 }
 
 Json ServiceServer::op_close(std::uint64_t id, const Json& req) {

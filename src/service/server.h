@@ -185,6 +185,14 @@ class ServiceServer {
   Json op_fix(std::uint64_t id, const Json& req);
   Json op_close(std::uint64_t id, const Json& req);
   Json op_shard(std::uint64_t id, const Json& req);
+  /// The shape of every op on an open session (edit, flow, fix): looks
+  /// up req's session (kUnknownSession when missing), lets `prepare`
+  /// read the op's own request fields, runs the work it returns (may be
+  /// empty) on the locked flow (kUnknownSession once the flow is gone),
+  /// and replies {session, report} plus any fields the work set.
+  using SessionWork = std::function<void(DfmFlowSession&, Json::Object&)>;
+  Json session_op(std::uint64_t id, const Json& req, const char* op,
+                  const std::function<SessionWork()>& prepare);
   Json inline_stats(std::uint64_t id) const;
   Json inline_metrics(std::uint64_t id) const;
   Json inline_debug(std::uint64_t id, const Json& req) const;

@@ -130,17 +130,20 @@ Json do_match(const Json& req, ShardWorkerSession& session, std::uint64_t id) {
 }
 
 Json do_litho(const Json& req, ShardWorkerSession& session, std::uint64_t id) {
+  std::vector<Rect> cores;
+  for (const Json& jc : require(req, "cores").as_array()) {
+    cores.push_back(rect_from_json(jc));
+  }
+  std::vector<char> skip;
+  const std::vector<std::vector<Hotspot>> got = session.litho_tiles(cores, skip);
   Json::Array hotspots;
   Json::Array skipped;
-  for (const Json& jc : require(req, "cores").as_array()) {
-    bool skip = false;
-    const std::vector<Hotspot> hs =
-        session.litho_tile(rect_from_json(jc), skip);
+  for (std::size_t i = 0; i < got.size(); ++i) {
     Json::Array per;
-    per.reserve(hs.size());
-    for (const Hotspot& h : hs) per.push_back(hotspot_to_json(h));
+    per.reserve(got[i].size());
+    for (const Hotspot& h : got[i]) per.push_back(hotspot_to_json(h));
     hotspots.push_back(Json(std::move(per)));
-    skipped.push_back(Json(skip ? 1 : 0));
+    skipped.push_back(Json(skip[i] != 0 ? 1 : 0));
   }
   Json::Object fields;
   fields["hotspots"] = Json(std::move(hotspots));

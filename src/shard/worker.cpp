@@ -5,7 +5,6 @@
 #include "core/snapshot_source.h"
 #include "core/telemetry.h"
 #include "drc/engine.h"
-#include "litho/prefilter.h"
 
 #include <utility>
 
@@ -74,25 +73,16 @@ std::vector<std::vector<PatternMatch>> ShardWorkerSession::match(
   return eng.matcher(set_index).scan_per_window(captured, pool_.get());
 }
 
-std::vector<Hotspot> ShardWorkerSession::litho_tile(const Rect& tile_core,
-                                                    bool& skipped) {
+std::vector<std::vector<Hotspot>> ShardWorkerSession::litho_tiles(
+    const std::vector<Rect>& cores, std::vector<char>& skipped) {
   TELEM_SPAN("shard_worker/litho");
-  const LayoutSnapshot& snap = snapshot();
   HotspotSimOptions sim{pool_.get()};
   sim.model = config_.model;
   sim.edge_tolerance = config_.litho_edge_tolerance;
   sim.tile = config_.litho_tile;
   sim.prefilter = config_.litho_fast != LithoFastMode::kOff;
-  if (cal_ == nullptr) {
-    cal_ = std::make_unique<PrefilterCalibration>(
-        resolve_litho_calibration(sim));
-  }
-  bool skip = false;
-  std::vector<Hotspot> out = simulate_litho_tile(
-      snap.layer(layers::kMetal1), tile_core, sim, pool_.get(),
-      cal_->valid ? cal_.get() : nullptr, skip);
-  skipped = skip;
-  return out;
+  return simulate_tiles(snapshot().layer(layers::kMetal1), nullptr, cores,
+                        sim, skipped);
 }
 
 void ShardWorkerSession::apply(const LayoutDelta& delta) {

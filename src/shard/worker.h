@@ -79,9 +79,11 @@ class ShardWorkerSession {
   std::vector<std::vector<PatternMatch>> match(
       std::size_t set_index, const std::vector<AnchorWindow>& sites);
 
-  /// One litho simulation tile (simulate_litho_tile over the windowed
-  /// m1); `tile_core.expanded(6*sigma)` must lie inside the window.
-  std::vector<Hotspot> litho_tile(const Rect& tile_core, bool& skipped);
+  /// Litho simulation tiles: simulate_tiles over the windowed m1, the
+  /// batch function the coordinator's tile driver runs. Every
+  /// `core.expanded(6*sigma)` must lie inside the window.
+  std::vector<std::vector<Hotspot>> litho_tiles(const std::vector<Rect>& cores,
+                                                std::vector<char>& skipped);
 
   /// Applies an edit, clipped to the window: layer <- (layer - removed)
   /// | (added & window). Derived state (snapshot, views) rebuilds
@@ -99,7 +101,6 @@ class ShardWorkerSession {
   std::unique_ptr<LayoutSnapshot> snap_;
   std::unique_ptr<DrcPlusEngine> engine_;
   std::unique_ptr<ThreadPool> pool_;  // null when config_.threads == 1
-  std::unique_ptr<PrefilterCalibration> cal_;  // resolved on first tile
 };
 
 }  // namespace dfm::shard

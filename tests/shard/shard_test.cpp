@@ -1,7 +1,9 @@
 // Distributed sharding: partition geometry, wire round-trips, routing
 // rules, and the subsystem's headline guarantee — a flow run against a
-// ShardBackend is byte-identical (flow_report_canonical_json) to the
-// unsharded run at every shard count, cold and after any edit sequence.
+// ShardBackend is identical to the unsharded run, in content
+// (reports_equivalent) and in canonical bytes (flow_report_canonical_json),
+// at every shard count, cold and after any edit sequence, also when the
+// backend handles only some of a pass's units.
 // The invariance suite runs on in-process workers, which serve the same
 // framed protocol over socketpairs, so it covers the whole encode ->
 // frame -> dispatch -> decode -> stitch path that worker processes run.
@@ -49,6 +51,29 @@ LayerMap flow_layers(const Library& lib, std::uint32_t top) {
   return m;
 }
 
+/// Sub-resolution M1 lines (26 nm wide, see HotspotClusterSpansThreeShards)
+/// in a row 1 um above `bb`, one per 2 um of width. The generated designs
+/// print cleanly at the test optics, so these lines are what gives the
+/// shards hotspots to carry.
+std::vector<Rect> pinch_lines(const Rect& bb) {
+  std::vector<Rect> out;
+  const Coord y = bb.hi.y + 1000;
+  for (Coord x = bb.lo.x + 300; x + 1200 <= bb.hi.x; x += 2000) {
+    out.push_back(Rect{x, y, x + 1200, y + 26});
+  }
+  return out;
+}
+
+/// A generated design plus pinch_lines over its M1 extent.
+Library pinched_design(DesignParams p) {
+  Library lib = generate_design(p);
+  const std::uint32_t top = lib.top_cells()[0];
+  for (const Rect& r : pinch_lines(lib.flatten(top, layers::kMetal1).bbox())) {
+    lib.cell(top).add(layers::kMetal1, r);
+  }
+  return lib;
+}
+
 LayerMap small_design(std::uint64_t seed) {
   DesignParams p;
   p.seed = seed;
@@ -57,7 +82,7 @@ LayerMap small_design(std::uint64_t seed) {
   p.routes = 8;
   p.via_fields = 1;
   p.vias_per_field = 16;
-  const Library lib = generate_design(p);
+  const Library lib = pinched_design(p);
   return flow_layers(lib, lib.top_cells()[0]);
 }
 
@@ -84,21 +109,29 @@ shard::ShardWorkerConfig worker_config(const DfmFlowOptions& o) {
   return c;
 }
 
-std::string cold_canonical(const LayerMap& m, const DfmFlowOptions& opt) {
-  DfmFlowSession s(LayerMap(m), opt);
-  return flow_report_canonical_json(s.report());
+/// A sharded report must match the unsharded one in content
+/// (reports_equivalent: every hotspot marker and severity, violation and
+/// match) and in canonical bytes (the trace's per-pass unit accounting).
+void expect_same_report(const DfmFlowReport& sharded,
+                        const DfmFlowReport& unsharded,
+                        const std::string& what) {
+  EXPECT_TRUE(reports_equivalent(sharded, unsharded)) << what;
+  EXPECT_EQ(flow_report_canonical_json(sharded),
+            flow_report_canonical_json(unsharded))
+      << what;
 }
 
-/// Canonical report of a cold sharded run; EXPECTs the backend stayed
+/// A cold sharded run must match `unsharded`; EXPECTs the backend stayed
 /// healthy (no silent degrade — a degraded run is still byte-identical,
 /// but then the test would not be exercising the shard path at all).
-std::string sharded_canonical(const LayerMap& m, DfmFlowOptions opt,
-                              int shards) {
+void expect_sharded_cold_matches(const LayerMap& m, DfmFlowOptions opt,
+                                 int shards, const DfmFlowReport& unsharded) {
   RemoteShardBackend backend(m, shards, worker_config(opt));
   opt.shards = &backend;
   DfmFlowSession s(LayerMap(m), opt);
   EXPECT_FALSE(backend.degraded());
-  return flow_report_canonical_json(s.report());
+  expect_same_report(s.report(), unsharded,
+                     "cold run at " + std::to_string(shards) + " shards");
 }
 
 /// A random edit strictly inside `core` (stable joint bbox).
@@ -371,10 +404,10 @@ TEST(ShardRouting, PatternSiteGoesToAnchorOwner) {
 TEST(ShardInvariance, ColdRunIsShardCountInvariant) {
   const LayerMap m = small_design(11);
   const DfmFlowOptions opt = fast_options(2, /*litho=*/true);
-  const std::string want = cold_canonical(m, opt);
+  const DfmFlowSession unsharded(LayerMap(m), opt);
+  ASSERT_FALSE(unsharded.report().hotspots.empty());
   for (const int shards : {1, 2, 8}) {
-    EXPECT_EQ(sharded_canonical(m, opt, shards), want)
-        << "report diverged at " << shards << " shards";
+    expect_sharded_cold_matches(m, opt, shards, unsharded.report());
   }
 }
 
@@ -393,8 +426,8 @@ TEST(ShardInvariance, IncrementalMatchesUnshardedAfterEveryEdit) {
   DfmFlowSession sharded(LayerMap(m), with_shards);
   DfmFlowSession unsharded(LayerMap(m), opt);
   LayerMap shadow = m;
-  EXPECT_EQ(flow_report_canonical_json(sharded.report()),
-            flow_report_canonical_json(unsharded.report()));
+  ASSERT_FALSE(unsharded.report().hotspots.empty());
+  expect_same_report(sharded.report(), unsharded.report(), "cold");
 
   Rng rng(77);
   const Rect core = interior(sharded.snapshot().bbox());
@@ -404,9 +437,8 @@ TEST(ShardInvariance, IncrementalMatchesUnshardedAfterEveryEdit) {
     unsharded.apply(d);
     d.apply(shadow);
     EXPECT_FALSE(backend.degraded());
-    EXPECT_EQ(flow_report_canonical_json(sharded.report()),
-              flow_report_canonical_json(unsharded.report()))
-        << "diverged after edit " << i;
+    expect_same_report(sharded.report(), unsharded.report(),
+                       "after edit " + std::to_string(i));
     DfmFlowSession cold(LayerMap(shadow), opt);
     EXPECT_TRUE(reports_equivalent(sharded.report(), cold.report()))
         << "analysis drifted from cold truth after edit " << i;
@@ -441,15 +473,14 @@ TEST(ShardInvariance, ViolationExactlyOnShardBorder) {
   ASSERT_LT(bx, probe.plan().extent.hi.x);
 
   base.at(layers::kMetal1).add(Rect{bx - 400, 5000, bx + 400, 5030});
-  const std::string want = cold_canonical(base, opt);
 
   // The unsharded run must actually flag it — otherwise this proves
   // nothing about stitching.
-  DfmFlowSession baseline(LayerMap(base), opt);
+  const DfmFlowSession baseline(LayerMap(base), opt);
   EXPECT_FALSE(baseline.report().drcplus.drc.violations.empty());
 
-  EXPECT_EQ(sharded_canonical(base, opt, 2), want);
-  EXPECT_EQ(sharded_canonical(base, opt, 8), want);
+  expect_sharded_cold_matches(base, opt, 2, baseline.report());
+  expect_sharded_cold_matches(base, opt, 8, baseline.report());
 }
 
 TEST(ShardInvariance, HotspotClusterSpansThreeShards) {
@@ -466,14 +497,13 @@ TEST(ShardInvariance, HotspotClusterSpansThreeShards) {
   // sweet spot — wide enough to survive the edge-tolerance erosion
   // (> 2 * litho_edge_tolerance), narrow enough to vanish at sigma 20.
   m.at(layers::kMetal1).add(Rect{b0 - 3000, 4000, b1 + 3000, 4026});
-  const std::string want = cold_canonical(m, opt);
 
-  DfmFlowSession baseline(LayerMap(m), opt);
+  const DfmFlowSession baseline(LayerMap(m), opt);
   EXPECT_FALSE(baseline.report().hotspots.empty())
       << "the skinny line must pinch, or the test is vacuous";
 
-  EXPECT_EQ(sharded_canonical(m, opt, 3), want);
-  EXPECT_EQ(sharded_canonical(m, opt, 8), want);
+  expect_sharded_cold_matches(m, opt, 3, baseline.report());
+  expect_sharded_cold_matches(m, opt, 8, baseline.report());
 }
 
 TEST(ShardInvariance, PatternWindowReachesAcrossBorder) {
@@ -496,9 +526,9 @@ TEST(ShardInvariance, PatternWindowReachesAcrossBorder) {
                           via.hi.x + t.via_enclosure_end, via.hi.y}));
   m[layers::kMetal2].add(via.expanded(t.via_enclosure));
 
-  const std::string want = cold_canonical(m, opt);
-  EXPECT_EQ(sharded_canonical(m, opt, 2), want);
-  EXPECT_EQ(sharded_canonical(m, opt, 4), want);
+  const DfmFlowSession baseline(LayerMap(m), opt);
+  expect_sharded_cold_matches(m, opt, 2, baseline.report());
+  expect_sharded_cold_matches(m, opt, 4, baseline.report());
 }
 
 TEST(ShardInvariance, EditStraddlingTwoShards) {
@@ -521,8 +551,7 @@ TEST(ShardInvariance, EditStraddlingTwoShards) {
   sharded.apply(add);
   unsharded.apply(add);
   EXPECT_FALSE(backend.degraded());
-  EXPECT_EQ(flow_report_canonical_json(sharded.report()),
-            flow_report_canonical_json(unsharded.report()));
+  expect_same_report(sharded.report(), unsharded.report(), "after the bar");
 
   LayoutDelta cut;
   cut.remove(layers::kMetal1, Rect{bx - 300, 4030, bx + 300, 4100});
@@ -531,8 +560,7 @@ TEST(ShardInvariance, EditStraddlingTwoShards) {
   EXPECT_FALSE(backend.degraded());
   EXPECT_FALSE(unsharded.report().drcplus.drc.violations.empty())
       << "the waist must violate min width, or the test is vacuous";
-  EXPECT_EQ(flow_report_canonical_json(sharded.report()),
-            flow_report_canonical_json(unsharded.report()));
+  expect_same_report(sharded.report(), unsharded.report(), "after the cut");
 }
 
 TEST(ShardInvariance, EditEscapingExtentDegradesButStaysExact) {
@@ -553,8 +581,7 @@ TEST(ShardInvariance, EditEscapingExtentDegradesButStaysExact) {
   sharded.apply(d);
   unsharded.apply(d);
   EXPECT_TRUE(backend.degraded());
-  EXPECT_EQ(flow_report_canonical_json(sharded.report()),
-            flow_report_canonical_json(unsharded.report()));
+  expect_same_report(sharded.report(), unsharded.report(), "escaping edit");
 
   // And it stays degraded: later edits keep the exactness guarantee.
   LayoutDelta d2;
@@ -562,8 +589,117 @@ TEST(ShardInvariance, EditEscapingExtentDegradesButStaysExact) {
   sharded.apply(d2);
   unsharded.apply(d2);
   EXPECT_TRUE(backend.degraded());
-  EXPECT_EQ(flow_report_canonical_json(sharded.report()),
-            flow_report_canonical_json(unsharded.report()));
+  expect_same_report(sharded.report(), unsharded.report(), "later edit");
+}
+
+/// Forwards to another backend but offers it only every other litho core
+/// and pattern site, declining the rest, so each pass merges shard
+/// results with local ones.
+class AlternateDeclineBackend final : public ShardBackend {
+ public:
+  explicit AlternateDeclineBackend(ShardBackend& inner) : inner_(inner) {}
+
+  std::size_t shard_count() const override { return inner_.shard_count(); }
+  bool is_degraded() const override { return inner_.is_degraded(); }
+  bool shard_drc(const std::vector<Rule>& rules, std::vector<Region>* bad2x,
+                 std::vector<char>* handled) override {
+    return inner_.shard_drc(rules, bad2x, handled);
+  }
+  bool shard_match(std::size_t set_index,
+                   const std::vector<AnchorWindow>& sites,
+                   std::vector<std::vector<PatternMatch>>* out,
+                   std::vector<char>* handled) override {
+    const std::vector<AnchorWindow> offer = evens(sites);
+    std::vector<std::vector<PatternMatch>> got(offer.size());
+    std::vector<char> h(offer.size(), 0);
+    if (!inner_.shard_match(set_index, offer, &got, &h)) return false;
+    for (std::size_t i = 0; i < offer.size(); ++i) {
+      if (h[i] == 0) continue;
+      (*out)[2 * i] = std::move(got[i]);
+      (*handled)[2 * i] = 1;
+      ++sites_handled;
+    }
+    sites_declined += sites.size() - offer.size();
+    return true;
+  }
+  bool shard_litho(const std::vector<Rect>& cores,
+                   std::vector<std::vector<Hotspot>>* per_core,
+                   std::vector<char>* skipped,
+                   std::vector<char>* handled) override {
+    const std::vector<Rect> offer = evens(cores);
+    std::vector<std::vector<Hotspot>> got(offer.size());
+    std::vector<char> sk(offer.size(), 0);
+    std::vector<char> h(offer.size(), 0);
+    if (!inner_.shard_litho(offer, &got, &sk, &h)) return false;
+    for (std::size_t i = 0; i < offer.size(); ++i) {
+      if (h[i] == 0) continue;
+      (*per_core)[2 * i] = std::move(got[i]);
+      (*skipped)[2 * i] = sk[i];
+      (*handled)[2 * i] = 1;
+      ++cores_handled;
+    }
+    cores_declined += cores.size() - offer.size();
+    return true;
+  }
+  void shard_apply(const LayoutDelta& delta) override {
+    inner_.shard_apply(delta);
+  }
+
+  std::size_t sites_handled = 0;
+  std::size_t sites_declined = 0;
+  std::size_t cores_handled = 0;
+  std::size_t cores_declined = 0;
+
+ private:
+  template <typename T>
+  static std::vector<T> evens(const std::vector<T>& v) {
+    std::vector<T> out;
+    for (std::size_t i = 0; i < v.size(); i += 2) out.push_back(v[i]);
+    return out;
+  }
+
+  ShardBackend& inner_;
+};
+
+TEST(ShardInvariance, MixedShardAndLocalUnitsMatchUnsharded) {
+  DesignParams p;
+  p.seed = 5;
+  p.rows = 3;
+  p.cells_per_row = 6;
+  p.routes = 12;
+  p.via_fields = 2;
+  p.vias_per_field = 16;
+  const Library lib = pinched_design(p);
+  const LayerMap m = flow_layers(lib, lib.top_cells()[0]);
+  for (const unsigned threads : {1u, 2u}) {
+    DfmFlowOptions opt = fast_options(threads, /*litho=*/true);
+    opt.litho_tile = 2000;  // ~15 tiles, so alternate cores split evenly
+    RemoteShardBackend remote(m, 2, worker_config(opt));
+    AlternateDeclineBackend backend(remote);
+    DfmFlowOptions with_shards = opt;
+    with_shards.shards = &backend;
+    DfmFlowSession sharded(LayerMap(m), with_shards);
+    DfmFlowSession unsharded(LayerMap(m), opt);
+    const std::string at = " at " + std::to_string(threads) + " threads";
+    ASSERT_FALSE(unsharded.report().hotspots.empty());
+    ASSERT_GT(unsharded.report().drcplus.pattern_match_count(), 0u);
+    expect_same_report(sharded.report(), unsharded.report(), "cold" + at);
+
+    Rng rng(91);
+    const Rect core = interior(sharded.snapshot().bbox());
+    for (int i = 0; i < 3; ++i) {
+      const LayoutDelta d = random_edit(rng, core);
+      sharded.apply(d);
+      unsharded.apply(d);
+      expect_same_report(sharded.report(), unsharded.report(),
+                         "after edit " + std::to_string(i) + at);
+    }
+    EXPECT_FALSE(remote.degraded());
+    EXPECT_GT(backend.cores_handled, 0u);
+    EXPECT_GT(backend.cores_declined, 0u);
+    EXPECT_GT(backend.sites_handled, 0u);
+    EXPECT_GT(backend.sites_declined, 0u);
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -583,7 +719,7 @@ std::string write_design(const std::string& dir) {
   p.via_fields = 1;
   p.vias_per_field = 9;
   const std::string gds = dir + "/design.gds";
-  write_gdsii_file(generate_design(p), gds);
+  write_gdsii_file(pinched_design(p), gds);
   return gds;
 }
 
@@ -617,7 +753,7 @@ TEST(RemoteShard, MatchesDirectRunColdAndIncremental) {
 
   // Unsharded baseline over the same streaming source.
   DfmFlowSession direct(source, opt);
-  const std::string want = flow_report_canonical_json(direct.report());
+  ASSERT_FALSE(direct.report().hotspots.empty());
 
   RemoteShardBackend backend(shard::shard_extent_of(gds),
                              process_config(opt, gds, dir));
@@ -628,7 +764,7 @@ TEST(RemoteShard, MatchesDirectRunColdAndIncremental) {
   sharded.shards = &backend;
   DfmFlowSession session(source, sharded);
   EXPECT_FALSE(backend.degraded());
-  EXPECT_EQ(flow_report_canonical_json(session.report()), want);
+  expect_same_report(session.report(), direct.report(), "cold");
 
   // One straddling edit over the wire: both sessions apply it; the
   // sharded report must track the direct one byte for byte.
@@ -636,8 +772,7 @@ TEST(RemoteShard, MatchesDirectRunColdAndIncremental) {
   session.apply(d);
   direct.apply(d);
   EXPECT_FALSE(backend.degraded());
-  EXPECT_EQ(flow_report_canonical_json(session.report()),
-            flow_report_canonical_json(direct.report()));
+  expect_same_report(session.report(), direct.report(), "after the edit");
 }
 
 TEST(ShardFault, WorkerExitingAtStartupThrowsAndIsReaped) {
@@ -670,8 +805,8 @@ TEST(ShardFault, KilledWorkerDegradesButStaysExact) {
   DfmFlowOptions sharded = opt;
   sharded.shards = &backend;
   DfmFlowSession session(source, sharded);
-  EXPECT_EQ(flow_report_canonical_json(session.report()),
-            flow_report_canonical_json(direct.report()));
+  ASSERT_FALSE(direct.report().hotspots.empty());
+  expect_same_report(session.report(), direct.report(), "cold");
   ASSERT_FALSE(backend.degraded());
 
   // A worker dies between the cold run and an edit: the backend must
@@ -682,9 +817,8 @@ TEST(ShardFault, KilledWorkerDegradesButStaysExact) {
   const LayoutDelta d = straddling_edit(backend.plan());
   session.apply(d);
   direct.apply(d);
-  const std::string got = flow_report_canonical_json(session.report());
   EXPECT_TRUE(backend.degraded());
-  EXPECT_EQ(got, flow_report_canonical_json(direct.report()));
+  expect_same_report(session.report(), direct.report(), "after the kill");
 }
 
 #endif  // DFMKIT_BIN
