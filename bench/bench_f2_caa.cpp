@@ -4,9 +4,17 @@
 // the defect size sweeps 1..10x pitch — CA grows superlinearly then
 // saturates toward the layout extent. Series (b): Poisson and negative-
 // binomial yield as defect density d0 sweeps.
+//
+// The CAA line times layer_lambda (shorts + opens, 24 sizes) serially and
+// with the size sweep on a 4-thread pool, medians of 5 runs each; the
+// bench exits 1 if the two lambdas differ in any bit.
 #include "bench_common.h"
 
+#include "core/parallel.h"
 #include "yield/yield.h"
+
+#include <algorithm>
+#include <cstring>
 
 using namespace dfm;
 using namespace dfm::bench;
@@ -27,8 +35,9 @@ int main() {
   fig_a.set_header({"defect nm", "short CA um^2", "open CA um^2",
                     "short/extent", "open/extent"});
   Stopwatch sw;
+  const std::vector<Region> m2_nets = short_nets(m2);
   for (const Coord s : {56, 112, 168, 224, 336, 448, 672, 896, 1120}) {
-    const Area sc = short_critical_area(m2, s);
+    const Area sc = short_critical_area(m2_nets, s);
     const Area oc = open_critical_area(m2, s);
     fig_a.add_row({std::to_string(s),
                    Table::num(static_cast<double>(sc) / 1e6, 3),
@@ -58,5 +67,43 @@ int main() {
       "then grows ~quadratically;\nopen CA rises linearly once defects "
       "exceed wire width; clustered (NB) yield sits above\nPoisson at equal "
       "lambda — all three published behaviours.\n");
+
+  // Serial vs pooled size sweep: same bits, less wall time.
+  constexpr int kRepeats = 5;
+  constexpr unsigned kThreads = 4;
+  DefectModel model;
+  model.d0 = 1e4;
+  ThreadPool pool(kThreads);
+  const auto lambda_of = [&](ThreadPool* on) {
+    return layer_lambda(m2, model, true, 24, on) +
+           layer_lambda(m2, model, false, 24, on);
+  };
+  const auto median_ms = [&](ThreadPool* on, double& lam) {
+    std::vector<double> runs;
+    for (int i = 0; i < kRepeats; ++i) {
+      const Stopwatch run;
+      lam = lambda_of(on);
+      runs.push_back(run.ms());
+    }
+    std::sort(runs.begin(), runs.end());
+    return runs[runs.size() / 2];
+  };
+  double serial_lambda = 0;
+  double pooled_lambda = 0;
+  const double serial_ms = median_ms(nullptr, serial_lambda);
+  const double pooled_ms = median_ms(&pool, pooled_lambda);
+  const bool identical =
+      std::memcmp(&serial_lambda, &pooled_lambda, sizeof(double)) == 0;
+  // Parseable: tools/run_benches.sh greps this CAA line.
+  std::printf(
+      "\nCAA nets=%zu sizes=24 repeats=%d threads=%u serial_ms=%.1f "
+      "pooled_ms=%.1f speedup=%.2f identical=%d\n",
+      m2_nets.size(), kRepeats, kThreads, serial_ms, pooled_ms,
+      pooled_ms > 0 ? serial_ms / pooled_ms : 0.0, identical ? 1 : 0);
+  if (!identical) {
+    std::printf("FAIL: pooled lambda %a != serial lambda %a\n", pooled_lambda,
+                serial_lambda);
+    return 1;
+  }
   return 0;
 }

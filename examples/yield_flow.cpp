@@ -6,6 +6,7 @@
 #include "yield/yield.h"
 
 #include <cstdio>
+#include <vector>
 
 int main() {
   using namespace dfm;
@@ -30,9 +31,10 @@ int main() {
   Table caa("critical area vs defect size (Metal 2)");
   caa.set_header({"defect nm", "short CA um^2", "open CA um^2"});
   const Region& m2 = layers.at(layers::kMetal2);
+  const std::vector<Region> m2_nets = short_nets(m2);
   for (const Coord s : {60, 100, 150, 250, 400, 700}) {
     caa.add_row({std::to_string(s),
-                 Table::num(static_cast<double>(short_critical_area(m2, s)) / 1e6),
+                 Table::num(static_cast<double>(short_critical_area(m2_nets, s)) / 1e6),
                  Table::num(static_cast<double>(open_critical_area(m2, s)) / 1e6)});
   }
   caa.print();

@@ -168,6 +168,13 @@ std::string json_num(double v) {
   return buf;
 }
 
+/// Bit-exact double as a JSON string: C99 hex float ("%a").
+std::string json_hex(double v) {
+  char buf[40];
+  std::snprintf(buf, sizeof buf, "\"%a\"", v);
+  return buf;
+}
+
 }  // namespace
 
 namespace detail {
@@ -581,16 +588,14 @@ void run_flow_passes(DfmFlowReport& rep, const LayoutSnapshot& snap,
           net_of.push_back(static_cast<int>(ni));
         }
       }
-      const auto m2_shorts = [&](Coord s) {
-        return short_critical_area_nets(pieces, net_of, s);
-      };
-      const double eca_nm2 =
-          average_critical_area(m2_shorts, options.defects, 16);
-      rep.lambda_shorts = layer_lambda(m1, options.defects, /*shorts=*/true) +
-                          options.defects.d0 * (eca_nm2 / 1e14);
+      // Each layer's nets are built once; the defect sizes of each sweep
+      // run on the pool and sum in a fixed order.
+      rep.lambda_shorts =
+          short_lambda(short_nets(m1), options.defects, 24, pool) +
+          short_lambda(short_nets(pieces, net_of), options.defects, 16, pool);
       rep.lambda_opens =
           layer_lambda(snap.layer(layers::kMetal2), options.defects,
-                       /*shorts=*/false);
+                       /*shorts=*/false, 24, pool);
       rep.defect_yield = poisson_yield(rep.lambda_shorts + rep.lambda_opens);
     }
     rep.scorecard.add("defect_yield", rep.defect_yield, 2.0,
@@ -783,6 +788,11 @@ std::string flow_trace_json(const DfmFlowReport& rep,
   out += "  \"cache\": {\"reads\": " + std::to_string(c.reads()) +
          ", \"builds\": " + std::to_string(c.builds()) +
          ", \"hits\": " + std::to_string(c.hits()) + "},\n";
+  out += "  \"yield\": {\"lambda_shorts\": " + json_hex(rep.lambda_shorts) +
+         ", \"lambda_opens\": " + json_hex(rep.lambda_opens) +
+         ", \"defect_yield\": " + json_hex(rep.defect_yield) +
+         ", \"via_yield_before\": " + json_hex(rep.via_yield_before) +
+         ", \"via_yield_after\": " + json_hex(rep.via_yield_after) + "},\n";
   if (metrics != nullptr) {
     out += "  \"telemetry\": " + telemetry::metrics_json(*metrics) + ",\n";
   }

@@ -160,7 +160,8 @@ DfmFlowReport run_dfm_flow(const LayoutSnapshot& snap,
 Table flow_trace_table(const FlowTrace& trace);
 
 /// Machine-readable flow output: the trace (per-pass ms/items/cache), the
-/// snapshot cache totals, and the scorecard — what `dfmkit_cli flow
+/// snapshot cache totals, the yield values as bit-exact hex floats, and
+/// the scorecard — what `dfmkit_cli flow
 /// --json` writes and tools/run_benches.sh consumes. The document
 /// carries a "schema_version" field (currently 2); the full schema is
 /// documented in DESIGN.md. When `metrics` is non-null the telemetry

@@ -4,39 +4,54 @@
 #include "gen/rng.h"
 
 #include <map>
+#include <stdexcept>
+#include <string>
 
 namespace dfm {
 
-Area short_critical_area(const Region& layer, Coord s) {
-  if (s <= 0 || layer.empty()) return 0;
-  TELEM_SPAN_ARG("caa/short", static_cast<std::uint64_t>(s));
+std::vector<Region> short_nets(const Region& layer) {
+  TELEM_SPAN("caa/nets");
   // A square defect of side s centered at p touches a net iff p lies in
-  // the net bloated by s/2 (Chebyshev). It shorts iff it touches two or
-  // more distinct nets, i.e. p is covered by >= 2 bloated nets. Work on
-  // the doubled grid so odd sizes stay exact.
+  // the net bloated by s/2 (Chebyshev). Work on the doubled grid so odd
+  // sizes stay exact.
+  std::vector<Region> nets = layer.scaled(2).components();
+  for (const Region& net : nets) net.rects();  // normalize before sharing
+  return nets;
+}
+
+std::vector<Region> short_nets(const std::vector<Region>& pieces,
+                               const std::vector<int>& net_of) {
+  if (pieces.size() != net_of.size()) {
+    throw std::invalid_argument(
+        "short_nets: " + std::to_string(pieces.size()) + " pieces but " +
+        std::to_string(net_of.size()) + " net labels");
+  }
+  TELEM_SPAN("caa/nets");
+  std::map<int, Region> by_label;
+  for (std::size_t i = 0; i < pieces.size(); ++i) {
+    by_label[net_of[i]].add(pieces[i]);
+  }
+  std::vector<Region> nets;
+  nets.reserve(by_label.size());
+  for (const auto& [label, net] : by_label) {
+    nets.push_back(net.scaled(2));
+    nets.back().rects();  // normalize before sharing
+  }
+  return nets;
+}
+
+Area short_critical_area(const std::vector<Region>& nets, Coord s) {
+  // A lone net cannot short: its bloat is covered once everywhere.
+  if (s <= 0 || nets.size() < 2) return 0;
+  TELEM_SPAN_ARG("caa/short", static_cast<std::uint64_t>(s));
+  // A defect at p shorts iff it touches two or more distinct nets, i.e. p
+  // is covered by >= 2 bloated nets.
   std::vector<Rect> bloated;
-  for (const Region& net : layer.scaled(2).components()) {
+  for (const Region& net : nets) {
     const Region grown = net.bloated(s);  // s == 2 * (s/2) on the 2x grid
     for (const Rect& r : grown.rects()) bloated.push_back(r);
   }
   return covered_at_least(bloated, 2).area() / 4;  // back to 1x area
-}
-
-Area short_critical_area_nets(const std::vector<Region>& pieces,
-                              const std::vector<int>& net_of, Coord s) {
-  if (s <= 0 || pieces.empty() || pieces.size() != net_of.size()) return 0;
-  // Union the pieces per net, then count double coverage of the per-net
-  // bloats exactly as in the component-based variant.
-  std::map<int, Region> nets;
-  for (std::size_t i = 0; i < pieces.size(); ++i) {
-    nets[net_of[i]].add(pieces[i]);
-  }
-  std::vector<Rect> bloated;
-  for (auto& [id, net] : nets) {
-    const Region grown = net.scaled(2).bloated(s);
-    for (const Rect& r : grown.rects()) bloated.push_back(r);
-  }
-  return covered_at_least(bloated, 2).area() / 4;
 }
 
 Area open_critical_area(const Region& layer, Coord s) {

@@ -15,6 +15,7 @@ namespace dfm {
 
 class LayoutDelta;     // core/delta.h
 class LayoutSnapshot;  // core/snapshot.h
+class ThreadPool;      // core/parallel.h
 
 /// Power-law defect size distribution f(s) ~ 1/s^k on [x0, xmax] — the
 /// standard model in the critical-area literature (k = 3 typical).
@@ -28,17 +29,25 @@ struct DefectModel {
   double pdf(Coord s) const;
 };
 
+/// The nets of one layer for short critical area, built once per layer:
+/// each connected component of `layer` is a net (the conservative
+/// layer-local estimate). Nets are returned on the doubled grid (every
+/// coordinate x2, so odd defect sizes stay exact) and normalized, so a
+/// size sweep can share them read-only across pool tasks.
+std::vector<Region> short_nets(const Region& layer);
+
+/// Net-aware variant: `net_of[i]` labels `pieces[i]`, and the pieces of
+/// one net are unioned (in ascending label order), so two same-layer
+/// shapes joined through another layer do not count as a short. Strictly
+/// <= the layer-local estimate. Throws std::invalid_argument when the two
+/// vectors differ in length.
+std::vector<Region> short_nets(const std::vector<Region>& pieces,
+                               const std::vector<int>& net_of);
+
 /// Critical area for *shorts* at one defect size: the set of defect
 /// centers where a square defect of side `s` bridges two distinct nets
-/// (connected components). Exact under the Chebyshev defect model.
-Area short_critical_area(const Region& layer, Coord s);
-
-/// Net-aware variant: shapes are grouped into electrical nets first
-/// (`net_of[i]` labels `pieces[i]`), so two same-layer shapes joined
-/// through another layer do not count as a short. Strictly <= the
-/// layer-local estimate.
-Area short_critical_area_nets(const std::vector<Region>& pieces,
-                              const std::vector<int>& net_of, Coord s);
+/// from short_nets. Exact under the Chebyshev defect model.
+Area short_critical_area(const std::vector<Region>& nets, Coord s);
 
 /// Critical area for *opens* at one defect size: per-band analytic
 /// approximation — a square defect of side `s` centered in a wire band of
@@ -52,9 +61,13 @@ Area open_critical_area_mc(const Region& layer, Coord s, int samples,
                            std::uint64_t seed);
 
 /// Expected critical area over the defect size distribution, integrated
-/// on a geometric grid of `steps` sizes.
+/// on a geometric grid of `steps` sizes. `ca` is evaluated at every size
+/// first — concurrently on `pool` when given, so it must be safe to call
+/// from several threads — and the trapezoid sum then runs serially in
+/// grid order, so the result does not depend on the pool.
 double average_critical_area(const std::function<Area(Coord)>& ca,
-                             const DefectModel& model, int steps = 24);
+                             const DefectModel& model, int steps = 24,
+                             ThreadPool* pool = nullptr);
 
 /// Poisson yield: exp(-lambda).
 double poisson_yield(double lambda);
@@ -62,9 +75,14 @@ double poisson_yield(double lambda);
 double negative_binomial_yield(double lambda, double alpha);
 
 /// Fault rate lambda for one layer: d0 [cm^-2] x expected critical area,
-/// with nm^2 -> cm^2 conversion.
+/// with nm^2 -> cm^2 conversion. For shorts the layer's nets are built
+/// once and every size of the sweep reads them.
 double layer_lambda(const Region& layer, const DefectModel& model,
-                    bool shorts, int steps = 24);
+                    bool shorts, int steps = 24, ThreadPool* pool = nullptr);
+
+/// Shorts fault rate over prebuilt `nets` (from short_nets).
+double short_lambda(const std::vector<Region>& nets, const DefectModel& model,
+                    int steps = 24, ThreadPool* pool = nullptr);
 
 // ---- Redundant via insertion ----------------------------------------------
 

@@ -217,6 +217,15 @@ void expect_identical(const DfmFlowReport& a, const DfmFlowReport& b) {
   EXPECT_EQ(a.dpt.compliant, b.dpt.compliant);
 }
 
+/// The "yield" line of the canonical report: the CAA and via yield
+/// values as hex floats.
+std::string yield_line(const DfmFlowReport& rep) {
+  const std::string json = flow_report_canonical_json(rep);
+  const std::size_t at = json.find("\"yield\": {");
+  if (at == std::string::npos) return {};
+  return json.substr(at, json.find('\n', at) - at);
+}
+
 class FlowDeterminism : public ::testing::TestWithParam<unsigned> {};
 
 TEST_P(FlowDeterminism, ParallelFlowEqualsSerialFlow) {
@@ -228,10 +237,15 @@ TEST_P(FlowDeterminism, ParallelFlowEqualsSerialFlow) {
   const Library lib = generate_design(p);
 
   const DfmFlowReport serial = flow_at(lib, 1);
+  const std::string serial_yield = yield_line(serial);
+  ASSERT_NE(serial_yield.find("\"lambda_shorts\": \"0x"), std::string::npos)
+      << serial_yield;
   for (const unsigned threads : {2u, 8u}) {
     const DfmFlowReport par = flow_at(lib, threads);
     SCOPED_TRACE("threads=" + std::to_string(threads));
     expect_identical(serial, par);
+    // The canonical bytes carry every yield value bit-exactly.
+    EXPECT_EQ(yield_line(par), serial_yield);
   }
 }
 

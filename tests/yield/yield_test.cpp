@@ -1,5 +1,6 @@
 #include "yield/yield.h"
 
+#include "core/parallel.h"
 #include "core/snapshot.h"
 
 #include "gen/generators.h"
@@ -7,6 +8,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <functional>
+#include <map>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 namespace dfm {
 namespace {
@@ -36,8 +43,9 @@ TEST(ShortCriticalArea, TwoParallelWires) {
   Region layer;
   layer.add(Rect{0, 0, 1000, 100});
   layer.add(Rect{0, 200, 1000, 300});
-  EXPECT_EQ(short_critical_area(layer, 100), 0);
-  const Area ca150 = short_critical_area(layer, 150);
+  const std::vector<Region> nets = short_nets(layer);
+  EXPECT_EQ(short_critical_area(nets, 100), 0);
+  const Area ca150 = short_critical_area(nets, 150);
   // Expected: (150 - 100) tall strip, ~1000 long (plus end effects < s).
   EXPECT_GE(ca150, 50 * 1000);
   EXPECT_LE(ca150, 50 * (1000 + 2 * 150));
@@ -48,9 +56,10 @@ TEST(ShortCriticalArea, MonotoneInDefectSize) {
   layer.add(Rect{0, 0, 500, 100});
   layer.add(Rect{0, 180, 500, 280});
   layer.add(Rect{0, 400, 500, 500});
+  const std::vector<Region> nets = short_nets(layer);
   Area prev = 0;
   for (const Coord s : {60, 100, 140, 200, 300, 400}) {
-    const Area ca = short_critical_area(layer, s);
+    const Area ca = short_critical_area(nets, s);
     EXPECT_GE(ca, prev) << "s=" << s;
     prev = ca;
   }
@@ -60,7 +69,8 @@ TEST(ShortCriticalArea, SingleNetNeverShorts) {
   Region layer;
   layer.add(Rect{0, 0, 1000, 100});
   layer.add(Rect{0, 0, 100, 1000});  // same connected net
-  EXPECT_EQ(short_critical_area(layer, 500), 0);
+  EXPECT_EQ(short_nets(layer).size(), 1u);
+  EXPECT_EQ(short_critical_area(short_nets(layer), 500), 0);
 }
 
 TEST(OpenCriticalArea, ThinWireBreaks) {
@@ -204,13 +214,13 @@ TEST(NetAwareShorts, ConnectedThroughViaIsNotAShort) {
   Region both = stub_a | stub_b;
 
   const Coord s = 200;  // bridges the 100 gap
-  EXPECT_GT(short_critical_area(both, s), 0);
+  EXPECT_GT(short_critical_area(short_nets(both), s), 0);
 
   // Same net label: no short.
-  EXPECT_EQ(short_critical_area_nets({stub_a, stub_b}, {7, 7}, s), 0);
+  EXPECT_EQ(short_critical_area(short_nets({stub_a, stub_b}, {7, 7}), s), 0);
   // Different nets: matches the layer-local result.
-  EXPECT_EQ(short_critical_area_nets({stub_a, stub_b}, {1, 2}, s),
-            short_critical_area(both, s));
+  EXPECT_EQ(short_critical_area(short_nets({stub_a, stub_b}, {1, 2}), s),
+            short_critical_area(short_nets(both), s));
 }
 
 TEST(NetAwareShorts, MixedNetsCountOnlyCrossNetPairs) {
@@ -220,17 +230,187 @@ TEST(NetAwareShorts, MixedNetsCountOnlyCrossNetPairs) {
   Region w2{Rect{320, 0, 380, 1000}};
   const Coord s = 160;
   const Area all_distinct =
-      short_critical_area_nets({w0, w1, w2}, {0, 1, 2}, s);
+      short_critical_area(short_nets({w0, w1, w2}, {0, 1, 2}), s);
   const Area outer_shared =
-      short_critical_area_nets({w0, w1, w2}, {0, 1, 0}, s);
+      short_critical_area(short_nets({w0, w1, w2}, {0, 1, 0}), s);
   EXPECT_GT(all_distinct, 0);
   // w0-w2 are 260 apart (> s), so sharing their net changes nothing here;
   // but sharing w0-w1 removes that pair entirely.
   const Area adjacent_shared =
-      short_critical_area_nets({w0, w1, w2}, {0, 0, 2}, s);
+      short_critical_area(short_nets({w0, w1, w2}, {0, 0, 2}), s);
   EXPECT_LT(adjacent_shared, all_distinct);
   EXPECT_EQ(outer_shared, all_distinct);
 }
+
+TEST(NetAwareShorts, MismatchedLabelsThrow) {
+  // A missing label is a caller bug, not "no shorts".
+  const Region w0{Rect{0, 0, 60, 1000}};
+  const Region w1{Rect{160, 0, 220, 1000}};
+  EXPECT_THROW(short_nets({w0, w1}, {0}), std::invalid_argument);
+  EXPECT_THROW(short_nets({w0}, {0, 1}), std::invalid_argument);
+  EXPECT_THROW(short_nets({}, {3}), std::invalid_argument);
+  EXPECT_TRUE(short_nets({}, {}).empty());
+}
+
+// ---- Hoisted, pooled sweep vs the historical serial loop -----------------
+
+// The per-size body as it stood before the nets were hoisted: rebuild the
+// doubled-grid components (or the per-net unions) at every size.
+Area oracle_short_ca(const Region& layer, Coord s) {
+  if (s <= 0 || layer.empty()) return 0;
+  std::vector<Rect> bloated;
+  for (const Region& net : layer.scaled(2).components()) {
+    const Region grown = net.bloated(s);
+    for (const Rect& r : grown.rects()) bloated.push_back(r);
+  }
+  return covered_at_least(bloated, 2).area() / 4;
+}
+
+Area oracle_short_ca_nets(const std::vector<Region>& pieces,
+                          const std::vector<int>& net_of, Coord s) {
+  if (s <= 0 || pieces.empty()) return 0;
+  std::map<int, Region> nets;
+  for (std::size_t i = 0; i < pieces.size(); ++i) {
+    nets[net_of[i]].add(pieces[i]);
+  }
+  std::vector<Rect> bloated;
+  for (auto& [id, net] : nets) {
+    const Region grown = net.scaled(2).bloated(s);
+    for (const Rect& r : grown.rects()) bloated.push_back(r);
+  }
+  return covered_at_least(bloated, 2).area() / 4;
+}
+
+// The historical serial integration: evaluate and accumulate in one loop.
+double oracle_average(const std::function<Area(Coord)>& ca,
+                      const DefectModel& model, int steps) {
+  const double a = static_cast<double>(model.x0);
+  const double b = static_cast<double>(model.xmax);
+  if (steps < 2 || b <= a) return 0.0;
+  const double ratio = std::pow(b / a, 1.0 / (steps - 1));
+  double prev_s = a;
+  double prev_v = static_cast<double>(ca(model.x0)) * model.pdf(model.x0);
+  double acc = 0.0;
+  double s = a;
+  for (int i = 1; i < steps; ++i) {
+    s *= ratio;
+    const auto si = static_cast<Coord>(std::llround(s));
+    const double v = static_cast<double>(ca(si)) * model.pdf(si);
+    acc += 0.5 * (prev_v + v) * (s - prev_s);
+    prev_s = s;
+    prev_v = v;
+  }
+  return acc;
+}
+
+double oracle_lambda(double eca_nm2, const DefectModel& model) {
+  const double eca_cm2 = eca_nm2 / 1e14;
+  return model.d0 * eca_cm2;
+}
+
+bool same_bits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+// Random rect layers: case 0 is empty, case 1 a single net, the rest
+// scatter rects (odd and even coordinates) some of which touch a
+// neighbour edge-on or overlap an earlier rect.
+std::vector<Region> random_pieces(std::uint64_t seed, int n) {
+  Rng rng(seed);
+  std::vector<Region> pieces;
+  Rect last{0, 0, 0, 0};
+  for (int i = 0; i < n; ++i) {
+    const Coord x = rng.uniform(0, 2400);
+    const Coord y = rng.uniform(0, 2400);
+    Rect r{x, y, x + rng.uniform(15, 260), y + rng.uniform(15, 260)};
+    if (i > 0 && rng.chance(0.2)) {  // abut the previous rect's right edge
+      r = Rect{last.hi.x, last.lo.y, last.hi.x + rng.uniform(15, 200),
+               last.lo.y + rng.uniform(15, 200)};
+    } else if (i > 0 && rng.chance(0.2)) {  // overlap it
+      r = Rect{last.lo.x + 7, last.lo.y + 5, last.hi.x + 41, last.hi.y + 3};
+    }
+    pieces.emplace_back(r);
+    last = r;
+  }
+  return pieces;
+}
+
+Region union_of(const std::vector<Region>& pieces) {
+  Region out;
+  for (const Region& p : pieces) out.add(p);
+  return out;
+}
+
+class CriticalAreaProperty : public ::testing::TestWithParam<int> {};
+
+TEST_P(CriticalAreaProperty, PooledSweepMatchesHistoricalSerialLoop) {
+  const int c = GetParam();
+  std::vector<Region> pieces;
+  if (c == 1) {
+    pieces = {Region{Rect{0, 0, 900, 61}}, Region{Rect{0, 0, 57, 900}}};
+  } else if (c > 1) {
+    pieces = random_pieces(1000 + static_cast<std::uint64_t>(c), 6 + 3 * c);
+  }
+  const Region layer = union_of(pieces);
+  Rng rng(77 + static_cast<std::uint64_t>(c));
+  std::vector<int> net_of;
+  for (std::size_t i = 0; i < pieces.size(); ++i) {
+    net_of.push_back(static_cast<int>(rng.uniform(0, 4)));
+  }
+  DefectModel m;
+  m.d0 = 100;
+  m.x0 = 41;  // odd: the grid holds odd and even sizes
+  m.xmax = 900;
+
+  // Per size, odd and even, against the rebuilt-every-size loop.
+  const std::vector<Region> nets = short_nets(layer);
+  const std::vector<Region> by_net = short_nets(pieces, net_of);
+  for (const Coord s : {1, 2, 41, 56, 97, 150, 333, 900}) {
+    SCOPED_TRACE("s=" + std::to_string(s));
+    EXPECT_EQ(short_critical_area(nets, s), oracle_short_ca(layer, s));
+    EXPECT_EQ(short_critical_area(by_net, s),
+              oracle_short_ca_nets(pieces, net_of, s));
+  }
+
+  const double want_short_avg = oracle_average(
+      [&](Coord s) { return oracle_short_ca(layer, s); }, m, 24);
+  const double want_shorts = oracle_lambda(want_short_avg, m);
+  const double want_opens = oracle_lambda(
+      oracle_average([&](Coord s) { return open_critical_area(layer, s); }, m,
+                     24),
+      m);
+  const double want_nets = oracle_lambda(
+      oracle_average(
+          [&](Coord s) { return oracle_short_ca_nets(pieces, net_of, s); }, m,
+          16),
+      m);
+  if (c >= 2) {
+    ASSERT_GT(want_shorts, 0.0) << "a random layer should carry shorts";
+  }
+
+  ThreadPool p1(1);
+  ThreadPool p2(2);
+  ThreadPool p8(8);
+  for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &p1, &p2, &p8}) {
+    SCOPED_TRACE(pool == nullptr ? std::string{"pool=null"}
+                                 : "pool=" + std::to_string(pool->concurrency()));
+    const double avg = average_critical_area(
+        [&](Coord s) { return short_critical_area(nets, s); }, m, 24, pool);
+    EXPECT_TRUE(same_bits(avg, want_short_avg)) << avg << " vs "
+                                                << want_short_avg;
+    const double shorts = layer_lambda(layer, m, true, 24, pool);
+    EXPECT_TRUE(same_bits(shorts, want_shorts)) << shorts << " vs "
+                                                << want_shorts;
+    const double opens = layer_lambda(layer, m, false, 24, pool);
+    EXPECT_TRUE(same_bits(opens, want_opens)) << opens << " vs " << want_opens;
+    const double net_shorts =
+        short_lambda(short_nets(pieces, net_of), m, 16, pool);
+    EXPECT_TRUE(same_bits(net_shorts, want_nets)) << net_shorts << " vs "
+                                                  << want_nets;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Layers, CriticalAreaProperty, ::testing::Range(0, 8));
 
 }  // namespace
 }  // namespace dfm

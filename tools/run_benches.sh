@@ -22,7 +22,9 @@
 # violations and composite before/after, thread/service determinism)
 # under "fix", and the distributed-sharding scaling series
 # (bench_s3_shard's SHARD lines: spawn+open cost, cold/incremental wall
-# time vs unsharded, efficiency, report equality) under "shard". The
+# time vs unsharded, efficiency, report equality) under "shard", and
+# the critical-area size sweep (bench_f2_caa's CAA line: layer_lambda
+# serial vs on a pool, medians, lambda bit equality) under "caa". The
 # revision stamp comes from `dfmkit --version` (embedded at build time),
 # not from git at bench time. Requires an existing build
 # (cmake --build <build-dir>).
@@ -304,6 +306,36 @@ if [ -f "$fix_log" ]; then
   done < "$fix_log"
 fi
 
+# The critical-area size sweep: bench_f2_caa prints one parseable
+# "CAA key=value ..." line (layer_lambda serial vs pooled, medians over
+# `repeats` runs each, and whether the two lambdas are bit-identical).
+caa_rows=""
+caa_log="$logdir/bench_f2_caa.log"
+if [ -f "$caa_log" ]; then
+  while IFS= read -r line; do
+    case "$line" in CAA\ *) ;; *) continue ;; esac
+    nets=0 sizes=0 repeats=0 threads=0 serial=0 pooled=0 sp=0 ident=0
+    for tok in $line; do
+      case "$tok" in
+        nets=*)      nets="${tok#nets=}" ;;
+        sizes=*)     sizes="${tok#sizes=}" ;;
+        repeats=*)   repeats="${tok#repeats=}" ;;
+        threads=*)   threads="${tok#threads=}" ;;
+        serial_ms=*) serial="${tok#serial_ms=}" ;;
+        pooled_ms=*) pooled="${tok#pooled_ms=}" ;;
+        speedup=*)   sp="${tok#speedup=}" ;;
+        identical=*) ident="${tok#identical=}" ;;
+      esac
+    done
+    row="    {\"nets\": $nets, \"sizes\": $sizes, \"repeats\": $repeats,"
+    row="$row \"threads\": $threads, \"serial_ms\": $serial,"
+    row="$row \"pooled_ms\": $pooled, \"speedup\": $sp,"
+    row="$row \"identical\": $ident}"
+    caa_rows="${caa_rows:+$caa_rows,
+}$row"
+  done < "$caa_log"
+fi
+
 {
   echo '{'
   printf '  "revision": "%s",\n' "$revision"
@@ -334,6 +366,9 @@ fi
   echo '  ],'
   echo '  "shard": ['
   printf '%s\n' "$shard_rows"
+  echo '  ],'
+  echo '  "caa": ['
+  printf '%s\n' "$caa_rows"
   echo '  ],'
   printf '  "flow": '
   # Indent the flow object to nest cleanly.
